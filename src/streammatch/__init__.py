@@ -5,6 +5,7 @@ from .exact import Matching, enumerate_oracle, max_nice_matching, solve_exact
 from .field_hash import KWiseHash, UniversalHash, kwise_draw, universal_draw
 from .insertonly import (
     CopyState,
+    InsertOnlyMatcher,
     ReduceTask,
     compact,
     insert_preprocess,
@@ -24,6 +25,7 @@ __all__ = [
     "EdgeUpdate",
     "FAIL",
     "HashScheme",
+    "InsertOnlyMatcher",
     "KWiseHash",
     "L0Sampler",
     "Matching",

@@ -6,25 +6,27 @@
     streammatch gen    --n N --k K --weights W --m M [--del-rate R]
                        --seed S [--model M] [--infeasible] [--out FILE]
     streammatch verify FILE
-    streammatch bench  --model M --k K --lengths L1,L2,... --seed S
 
-Exit codes: 0 on success, 2 on parse/format error, 3 on a one-sided
-violation (only detectable under ``run --oracle``, which replays the true
-graph alongside the sketch).
+``run`` builds its matcher with ``trials.make_matcher`` and drives it with
+``trials.replay``.  Exit codes: 0 on success, 2 on parse/format error, 3
+on a one-sided violation (only detectable under ``run --oracle``, which
+replays the true graph alongside the sketch and checks every answer with
+``exact.is_valid_matching``).
+
+Timings and per-update counters are measured by ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
-from .dynamic import DynamicMatcher, EdgeUpdate
 from .errors import StreamMatchError, StreamFormatError
-from .exact import solve_exact
-from .insertonly import insert_preprocess, insert_query
+from .exact import is_valid_matching, solve_exact
 from .seeds import spawn_rng
 from .streams import GraphReplay, format_weight, gen_planted, parse_stream, render_stream
-from .trials import TrialConfig, measure
+from .trials import make_matcher, replay
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,21 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check stream well-formedness and replay the oracle")
     verify.add_argument("file")
-
-    bench = sub.add_parser("bench", help="measure per-update ops and space over stream lengths")
-    bench.add_argument("--model", required=True, choices=("dynamic", "dynamic-approx", "insert"))
-    bench.add_argument("--k", type=int, required=True)
-    bench.add_argument("--n", type=int, default=64)
-    bench.add_argument("--weights", type=int, default=5)
-    bench.add_argument("--epsilon", type=float, default=0.1)
-    bench.add_argument("--delta", type=float, default=1 / 16)
-    bench.add_argument("--lengths", required=True)
-    bench.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _fmt_w(w, precision: int) -> str:
-    return format_weight(w, precision) if isinstance(w, int) else f"{float(w):.6g}"
+    if isinstance(w, int):
+        return format_weight(w, precision)
+    try:
+        return f"{float(w):.6g}"
+    except OverflowError:  # a class representative beyond the float range
+        return f"{Decimal(w.numerator) / Decimal(w.denominator):.6g}"
 
 
 def _format_answer(answer, precision: int) -> str:
@@ -90,64 +87,28 @@ def _cmd_run(args) -> int:
     sf = parse_stream(text, insert_only=args.model == "insert")
     k = args.k if args.k is not None else sf.k
     rng = spawn_rng(args.seed, "cli-run", args.model, k)
+    matcher = make_matcher(args.model, sf.n, k, rng, args.epsilon, args.delta)
 
-    if args.model == "insert":
-        copies = insert_preprocess(sf.n, k, args.delta, rng)
-        state = None
-    else:
-        mode = "approx" if args.model == "dynamic-approx" else "exact"
-        state = DynamicMatcher(sf.n, k, rng, mode=mode,
-                               eps=args.epsilon if mode == "approx" else None)
-        copies = None
-
-    replay = GraphReplay() if args.oracle else None
+    truth = GraphReplay() if args.oracle else None
     violated = False
-    query_no = 0
-    for record in sf.records:
-        if record[0] == "Q":
-            query_no += 1
-            answer = insert_query(copies, k) if copies is not None else state.query()
-            print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
-            if replay is not None:
-                violated |= _oracle_check(answer, k, replay, sf.precision, query_no)
-            continue
-        if replay is not None:
-            replay.apply(record)
-        if copies is not None:
-            for copy in copies:
-                copy.update((record[1], record[2], record[3]))
-        else:
-            state.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
+    for query_no, answer in enumerate(replay(sf.records, matcher, truth), 1):
+        print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
+        if truth is not None and answer is not None \
+                and not is_valid_matching(answer, k, truth.live, matcher.mode):
+            print(f"one-sided violation at query {query_no}", file=sys.stderr)
+            violated = True
 
     if args.stats:
-        if copies is not None:
-            for idx, copy in enumerate(copies):
+        if args.model == "insert":
+            for idx, copy in enumerate(matcher.copies):
                 print(f"stats copy {idx}: max_update_ops={copy.max_update_ops} "
                       f"max_stored_edges={copy.max_stored_edges} budget={copy.budget} "
                       f"window={copy.window_len}")
         else:
-            params = state.scheme.params
-            print(f"stats: bank={len(state.bank)} touched_per_update={params.family_size ** 2} "
-                  f"weight_classes={len(state.wclasses)} delta={state.delta:.3g}")
+            params = matcher.scheme.params
+            print(f"stats: bank={len(matcher.bank)} touched_per_update={params.family_size ** 2} "
+                  f"weight_classes={len(matcher.wclasses)} delta={matcher.delta:.3g}")
     return EXIT_ONE_SIDED if violated else EXIT_OK
-
-
-def _oracle_check(answer, k, replay, precision, query_no) -> bool:
-    truth = solve_exact(replay.edges(), k) if replay.live else None
-    if answer is None:
-        return False
-    ok = len(answer.edges) == k
-    seen: set[int] = set()
-    for u, v, _w in answer.edges:
-        ok = ok and u not in seen and v not in seen and (u, v) in replay.live
-        seen.add(u)
-        seen.add(v)
-    if truth is None:
-        ok = False
-    if not ok:
-        print(f"one-sided violation at query {query_no}", file=sys.stderr)
-        return True
-    return False
 
 
 def _cmd_gen(args) -> int:
@@ -180,23 +141,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    lengths = tuple(int(x) for x in args.lengths.split(","))
-    config = TrialConfig(model=args.model, n=args.n, k=args.k, weights=args.weights,
-                         m=max(lengths), eps=args.epsilon if args.model == "dynamic-approx" else None,
-                         delta=args.delta)
-    profile = measure(config, lengths, args.seed)
-    for m, entry in profile["per_length"].items():
-        fields = " ".join(f"{key}={value}" for key, value in entry.items())
-        print(f"m={m}: {fields}")
-    if "update_ops_ratio" in profile:
-        print(f"update_ops_ratio={profile['update_ops_ratio']:.4f}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify, "bench": _cmd_bench}
+    handlers = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
     except StreamFormatError as exc:

@@ -97,7 +97,8 @@ def weight_class(w, eps) -> int:
     base = 1 + _as_fraction(eps)
     if base <= 1:
         raise ParameterError(f"eps must be positive, got {eps}")
-    i = math.ceil(math.log(float(wf)) / math.log(float(base)))
+    # A float estimate, corrected exactly below; math.log takes big ints, float(wf) may overflow.
+    i = math.ceil((math.log(wf.numerator) - math.log(wf.denominator)) / math.log(base))
     while base**i < wf:
         i += 1
     while base ** (i - 1) >= wf:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError
 
@@ -44,18 +44,25 @@ class Matching:
         return len(self.edges)
 
 
-def is_valid_matching(m: Matching, k: int, graph_edges: Iterable[Edge] | None = None) -> bool:
-    """Independent validator: cardinality, disjointness, optional membership."""
+def is_valid_matching(m: Matching, k: int, live: Mapping[tuple[int, int], int],
+                      mode: str = "exact") -> bool:
+    """The one-sided answer check against the live graph ``live`` ((u, v) -> weight).
+
+    Cardinality k, pairwise disjoint endpoints, every edge live, and each
+    reported weight equal to the live weight ("exact") or at least it
+    ("approx": a class representative rounds up).
+    """
     if len(m.edges) != k:
         return False
     seen: set[int] = set()
-    for u, v, _w in m.edges:
+    for u, v, w in m.edges:
         if u in seen or v in seen or u == v:
             return False
         seen.add(u)
         seen.add(v)
-    if graph_edges is not None and not set(m.edges) <= set(graph_edges):
-        return False
+        true_w = live.get((u, v))
+        if true_w is None or (w != true_w if mode == "exact" else w < true_w):
+            return False
     return True
 
 

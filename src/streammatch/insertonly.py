@@ -35,6 +35,10 @@ of edge values: scanning an edge costs a fixed amount and each heap
 push/pop costs 1 + ceil(log2(cap+1)).  The budget is derived once per
 build from the worst-case charge total over an input of 2q edges, so the
 task is always complete when its window closes.
+
+``InsertOnlyMatcher`` puts the copies behind the ``DynamicMatcher``
+interface (``update``, ``query``, ``mode``) through ``insert_update`` and
+``insert_query``.
 """
 
 from __future__ import annotations
@@ -296,3 +300,19 @@ def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
     if not edges:
         return None
     return solve_exact(sorted(edges), k)
+
+
+class InsertOnlyMatcher:
+    """The insert-only pipeline behind the ``DynamicMatcher`` interface."""
+
+    mode = "exact"
+
+    def __init__(self, n: int, k: int, delta: float, rng: random.Random):
+        self.k = k
+        self.copies = insert_preprocess(n, k, delta, rng)
+
+    def update(self, upd):
+        insert_update(self.copies, upd)
+
+    def query(self) -> Matching | None:
+        return insert_query(self.copies, self.k)

@@ -1,4 +1,8 @@
-"""Monte-Carlo trial runner and op/space measurement.
+"""The stream driver, the Monte-Carlo trial runner and op/space measurement.
+
+``make_matcher`` builds either pipeline behind one interface (``update``
+with an ``EdgeUpdate``, ``query``, ``mode``) and ``replay`` drives it over
+a record list; ``cli run`` and the trial runner both go through them.
 
 Each trial draws a fresh planted stream and a fresh algorithm state from
 per-trial sub-seeds, replays the stream, and compares every query answer
@@ -20,10 +24,10 @@ from fractions import Fraction
 
 from .dynamic import DynamicMatcher, EdgeUpdate
 from .errors import ParameterError
-from .exact import solve_exact
-from .insertonly import insert_preprocess, insert_query, task_budget, window_length
+from .exact import is_valid_matching
+from .insertonly import InsertOnlyMatcher, task_budget, window_length
 from .seeds import derive_seed, spawn_rng
-from .streams import GraphReplay, StreamFile, gen_planted
+from .streams import GraphReplay, gen_planted
 
 MODELS = ("dynamic", "dynamic-approx", "insert")
 
@@ -56,81 +60,32 @@ class TrialReport:
     successes: int = 0
     within_eps: int = 0
     one_sided_violations: int = 0
-    sampler_sampled: int = 0
-    sampler_empty: int = 0
-    sampler_failed: int = 0
-    max_bank_size: int = 0
-    max_update_ops: int = 0
-    max_stored_edges: int = 0
     distinct_weight_classes: int = 0
     violations: list = field(default_factory=list)
 
 
-def _true_weight(answer, replay: GraphReplay):
-    return sum(replay.live[(u, v)] for u, v, _w in answer.edges)
-
-
-def _answer_is_sound(answer, k: int, replay: GraphReplay, mode: str) -> bool:
-    """Structural one-sided check of a returned matching against the live graph."""
-    if len(answer.edges) != k:
-        return False
-    seen: set[int] = set()
-    for u, v, w in answer.edges:
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-        true_w = replay.live.get((u, v))
-        if true_w is None:
-            return False
-        if mode == "exact" and w != true_w:
-            return False
-        if mode == "approx" and Fraction(true_w) > w:
-            return False
-    return True
-
-
-def _run_stream(model: str, config: TrialConfig, sf: StreamFile, opt, algo_rng, report: TrialReport):
-    replay = GraphReplay()
+def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
+    """The matcher for ``model``: an ``InsertOnlyMatcher`` or a ``DynamicMatcher``."""
     if model == "insert":
-        state = insert_preprocess(config.n, config.k, config.delta, algo_rng)
-    else:
-        mode = "approx" if model == "dynamic-approx" else "exact"
-        state = DynamicMatcher(config.n, config.k, algo_rng, mode=mode, eps=config.eps)
+        return InsertOnlyMatcher(n, k, delta, rng)
+    mode = "approx" if model == "dynamic-approx" else "exact"
+    return DynamicMatcher(n, k, rng, mode=mode, eps=eps if mode == "approx" else None)
 
-    for record in sf.records:
+
+def replay(records, matcher, truth: GraphReplay | None = None):
+    """Apply each edge record to ``truth`` (when given), then to ``matcher``;
+    yield the matcher's answer at each query record."""
+    for record in records:
         if record[0] == "Q":
-            report.queries += 1
-            _evaluate_query(model, config, state, replay, opt, report)
+            yield matcher.query()
             continue
-        replay.apply(record)
-        if model == "insert":
-            for copy in state:
-                copy.update((record[1], record[2], record[3]))
-                if copy.max_update_ops > report.max_update_ops:
-                    report.max_update_ops = copy.max_update_ops
-                if copy.max_stored_edges > report.max_stored_edges:
-                    report.max_stored_edges = copy.max_stored_edges
-        else:
-            state.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
-            if len(state.bank) > report.max_bank_size:
-                report.max_bank_size = len(state.bank)
-            if len(state.wclasses) > report.distinct_weight_classes:
-                report.distinct_weight_classes = len(state.wclasses)
+        if truth is not None:
+            truth.apply(record)
+        matcher.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
 
 
-def _evaluate_query(model, config, state, replay, opt, report: TrialReport):
-    if model == "insert":
-        answer = insert_query(state, config.k)
-        mode = "exact"
-    else:
-        answer = state.query()
-        mode = state.mode
-        stats = state.last_query_stats
-        report.sampler_sampled += stats.sampled
-        report.sampler_empty += stats.empty
-        report.sampler_failed += stats.failed
-
+def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, report: TrialReport):
+    report.queries += 1
     has_matching = opt is not None
     if has_matching:
         report.with_matching += 1
@@ -139,7 +94,7 @@ def _evaluate_query(model, config, state, replay, opt, report: TrialReport):
         return
 
     report.returned += 1
-    if not _answer_is_sound(answer, config.k, replay, mode):
+    if not is_valid_matching(answer, config.k, live, mode):
         report.one_sided_violations += 1
         report.violations.append(("unsound answer", answer.edges))
         return
@@ -150,7 +105,7 @@ def _evaluate_query(model, config, state, replay, opt, report: TrialReport):
         report.violations.append(("matching returned on infeasible stream", answer.edges))
         return
 
-    true_w = _true_weight(answer, replay)
+    true_w = sum(live[(u, v)] for u, v, _w in answer.edges)
     if true_w > opt:
         report.one_sided_violations += 1
         report.violations.append(("answer beats ground truth", answer.edges))
@@ -176,7 +131,13 @@ def run_trials(config: TrialConfig, trials: int, seed: int) -> TrialReport:
             feasible=config.feasible,
         )
         algo_rng = spawn_rng(seed, "trial", t, "algo")
-        _run_stream(config.model, config, sf, opt, algo_rng, report)
+        matcher = make_matcher(config.model, config.n, config.k, algo_rng, config.eps, config.delta)
+        truth = GraphReplay()
+        for answer in replay(sf.records, matcher, truth):
+            _evaluate_query(config, matcher.mode, answer, truth.live, opt, report)
+        if config.model != "insert":  # wclasses only grows, so its final size is the maximum
+            report.distinct_weight_classes = max(report.distinct_weight_classes,
+                                                 len(matcher.wclasses))
         report.trials += 1
     return report
 
@@ -199,49 +160,37 @@ def measure(config: TrialConfig, lengths: tuple[int, ...], seed: int) -> dict:
         sf, _opt = gen_planted(n, config.k, config.weights, m, config.del_rate, cfg_seed,
                                model="insert" if config.model == "insert" else "dynamic")
         algo_rng = spawn_rng(seed, "measure", m, "algo")
-        entry: dict = {}
+        matcher = make_matcher(config.model, n, config.k, algo_rng, config.eps, config.delta)
+        updates = (EdgeUpdate(rec[1], rec[2], rec[3], rec[0] == "I")
+                   for rec in sf.records if rec[0] != "Q")
         if config.model == "insert":
-            copies = insert_preprocess(n, config.k, config.delta, algo_rng)
-            q = window_length(config.k)
+            copies = matcher.copies
             max_ops = 0
-            max_stored = 0
-            for record in sf.records:
-                if record[0] == "Q":
-                    continue
-                for copy in copies:
-                    copy.update((record[1], record[2], record[3]))
-                step_ops = sum(c.last_update_ops for c in copies)
-                if step_ops > max_ops:
-                    max_ops = step_ops
-                stored = max(c.max_stored_edges for c in copies)
-                if stored > max_stored:
-                    max_stored = stored
-            entry.update(
+            for upd in updates:
+                matcher.update(upd)
+                max_ops = max(max_ops, sum(c.last_update_ops for c in copies))
+            entry = dict(
                 max_update_ops=max_ops,
                 budget=task_budget(config.k),
                 copies=len(copies),
-                max_stored_edges_per_copy=max_stored,
-                stored_bound_5q=5 * q,
+                max_stored_edges_per_copy=max(c.max_stored_edges for c in copies),
+                stored_bound_5q=5 * window_length(config.k),
             )
         else:
-            mode = "approx" if config.model == "dynamic-approx" else "exact"
-            state = DynamicMatcher(n, config.k, algo_rng, mode=mode, eps=config.eps)
-            params = state.scheme.params
             touched = set()
-            for record in sf.records:
-                if record[0] == "Q":
-                    continue
-                state.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
-                touched.add(state.last_touched)
+            for upd in updates:
+                matcher.update(upd)
+                touched.add(matcher.last_touched)
+            params = matcher.scheme.params
             pair_count = params.family_size ** 2
-            entry.update(
+            entry = dict(
                 touched_per_update=sorted(touched),
                 pairs_per_update=pair_count,
-                bank_size=len(state.bank),
-                bank_bound=min(state.updates_applied * pair_count,
-                               len(state.wclasses) * params.range_size**2),
-                weight_classes=len(state.wclasses),
-                abstract_words=len(state.bank) * abstract_sampler_words(state.n_ids, state.delta),
+                bank_size=len(matcher.bank),
+                bank_bound=min(matcher.updates_applied * pair_count,
+                               len(matcher.wclasses) * params.range_size**2),
+                weight_classes=len(matcher.wclasses),
+                abstract_words=len(matcher.bank) * abstract_sampler_words(matcher.n_ids, matcher.delta),
             )
         profile["per_length"][m] = entry
     if config.model == "insert":

@@ -7,6 +7,69 @@ def _gen_file(tmp_path, args):
     return out
 
 
+def _with_queries(path, every):
+    """Add a query after the header and after every ``every``-th edge record."""
+    lines, edges = [], 0
+    for line in path.read_text().splitlines():
+        lines.append(line)
+        if line.startswith("H"):
+            lines.append("Q")
+        elif line[:1] in ("I", "D"):
+            edges += 1
+            if edges % every == 0:
+                lines.append("Q")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+GOLDEN_DYNAMIC = """\
+query 1: no k-matching
+query 2: weight=9 edges: (0,2,7) (6,10,2)
+query 3: weight=13 edges: (0,2,7) (5,10,6)
+query 4: weight=13 edges: (0,2,7) (5,10,6)
+query 5: weight=13 edges: (0,2,7) (5,10,6)
+stats: bank=2304 touched_per_update=144 weight_classes=5 delta=0.00225
+"""
+
+GOLDEN_APPROX = """\
+query 1: no k-matching
+query 2: weight=9.54384 edges: (0,2,7.40025) (6,10,2.14359)
+query 3: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
+query 4: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
+query 5: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
+stats: bank=2304 touched_per_update=144 weight_classes=5 delta=0.00225
+"""
+
+GOLDEN_INSERT = """\
+query 1: no k-matching
+query 2: weight=3 edges: (7,11,3)
+query 3: weight=3 edges: (7,11,3)
+query 4: weight=6 edges: (5,8,6)
+query 5: weight=6 edges: (5,8,6)
+query 6: weight=6 edges: (5,8,6)
+stats copy 0: max_update_ops=34 max_stored_edges=36 budget=31 window=15
+stats copy 1: max_update_ops=34 max_stored_edges=35 budget=31 window=15
+stats copy 2: max_update_ops=34 max_stored_edges=36 budget=31 window=15
+stats copy 3: max_update_ops=35 max_stored_edges=37 budget=31 window=15
+"""
+
+
+def test_run_golden_outputs(tmp_path, capsys):
+    dyn = _with_queries(_gen_file(tmp_path, ["--n", "12", "--k", "2", "--weights", "3",
+                                             "--m", "24", "--del-rate", "0.5", "--seed", "7"]), 8)
+    runs = [
+        (["--model", "dynamic"], dyn, GOLDEN_DYNAMIC),
+        (["--model", "dynamic-approx", "--epsilon", "0.1"], dyn, GOLDEN_APPROX),
+    ]
+    for model_args, path, expected in runs:
+        assert main(["run", *model_args, "--seed", "3", "--stats", "--oracle", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+    ins = _with_queries(_gen_file(tmp_path, ["--n", "12", "--k", "1", "--weights", "3",
+                                             "--m", "40", "--seed", "7", "--model", "insert"]), 10)
+    assert main(["run", "--model", "insert", "--seed", "3", "--stats", "--oracle", str(ins)]) == 0
+    assert capsys.readouterr().out == GOLDEN_INSERT
+
+
 def test_gen_and_run_dynamic(tmp_path, capsys):
     path = _gen_file(tmp_path, ["--n", "20", "--k", "2", "--weights", "4",
                                 "--m", "60", "--del-rate", "0.3", "--seed", "5"])
@@ -35,6 +98,16 @@ def test_run_approx_model(tmp_path, capsys):
                  "--seed", "2", str(path)])
     assert code == 0
     assert "query 1:" in capsys.readouterr().out
+
+
+def test_run_approx_model_huge_weight(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"H 4 1 0\nI 0 1 {10**400 + 1}\nI 2 3 5\nQ\n")
+    code = main(["run", "--model", "dynamic-approx", "--epsilon", "0.1", "--seed", "1",
+                 "--oracle", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("query 1: weight=1.") and "e+400 edges: (0,1,1." in out
 
 
 def test_run_rejects_deletions_for_insert_model(tmp_path, capsys):
@@ -72,13 +145,6 @@ def test_gen_infeasible(tmp_path):
                                 "--m", "20", "--seed", "3", "--infeasible"])
     text = path.read_text()
     assert "# planted optimum: none" in text
-
-
-def test_bench_insert(capsys):
-    assert main(["bench", "--model", "insert", "--k", "1", "--lengths", "100,200",
-                 "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "update_ops_ratio" in out
 
 
 def test_missing_file_errors(capsys):

@@ -62,6 +62,14 @@ def test_weight_class_brackets(w, eps):
     assert class_representative(i, eps) == base**i
 
 
+def test_weight_class_beyond_float_range():
+    # 10**400 and 1/10**400 overflow or underflow a float; the class stays exact.
+    for w in (10**400 + 7, Fraction(3, 10**400)):
+        i = weight_class(w, Fraction(1, 10))
+        base = Fraction(11, 10)
+        assert base ** (i - 1) < w <= base**i
+
+
 def test_preprocess_examples():
     dm = DynamicMatcher(16, 2, random.Random(0))
     assert dm.scheme.params.k == 4  # scheme built for subset size 2k

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from streammatch.exact import (
 def test_single_edge():
     m = solve_exact([(0, 1, 5)], 1)
     assert m.weight == 5
-    assert is_valid_matching(m, 1, [(0, 1, 5)])
+    assert is_valid_matching(m, 1, {(0, 1): 5})
 
 
 def test_triangle_has_no_two_matching():
@@ -75,7 +76,22 @@ def test_returned_matchings_validate():
         edges = _random_graph(rng)
         m = solve_exact(edges, 2)
         if m is not None:
-            assert is_valid_matching(m, 2, edges)
+            assert is_valid_matching(m, 2, {(u, v): w for u, v, w in edges})
+    live = {(0, 1): 5, (2, 3): 4, (1, 2): 7}
+    cases = [
+        # (answer edges, k, mode, valid)
+        (((0, 1, 5), (2, 3, 4)), 2, "exact", True),
+        (((0, 1, 5), (2, 3, 9)), 2, "exact", False),  # weight differs from the live weight
+        (((0, 1, 5), (2, 3, 3)), 2, "exact", False),
+        (((0, 1, Fraction(11, 2)), (2, 3, 4)), 2, "approx", True),  # representative above
+        (((0, 1, 5), (2, 3, Fraction(7, 2))), 2, "approx", False),  # below the live weight
+        (((0, 1, 5), (4, 5, 4)), 2, "exact", False),  # (4, 5) is not live
+        (((1, 2, 7), (0, 1, 5)), 2, "exact", False),  # vertex 1 shared
+        (((0, 1, 5),), 2, "exact", False),  # wrong cardinality
+        (((0, 1, 5), (2, 3, 4)), 1, "approx", False),
+    ]
+    for edges, k, mode, valid in cases:
+        assert is_valid_matching(Matching(edges), k, live, mode) is valid, (edges, k, mode)
 
 
 @settings(max_examples=80, deadline=None)

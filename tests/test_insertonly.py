@@ -6,6 +6,7 @@ from streammatch.errors import ModelError, ParameterError
 from streammatch.exact import enumerate_oracle, max_nice_matching, solve_exact
 from streammatch.insertonly import (
     CopyState,
+    InsertOnlyMatcher,
     ReduceTask,
     compact,
     copies_for,
@@ -143,6 +144,9 @@ def test_insert_update_rejects_deletions():
     copies = insert_preprocess(16, 2, 0.5, random.Random(1))
     with pytest.raises(ModelError):
         insert_update(copies, EdgeUpdate(0, 1, 3, False))
+    matcher = InsertOnlyMatcher(16, 2, 0.5, random.Random(1))
+    with pytest.raises(ModelError):
+        matcher.update(EdgeUpdate(0, 1, 3, False))
 
 
 def test_first_window_buffers_everything():
