@@ -1,7 +1,7 @@
 """Streaming maximum-weight k-matching: dynamic-model sketches and insert-only compaction."""
 
 from .dynamic import DynamicMatcher, EdgeUpdate, edge_from_id, edge_id, weight_class
-from .exact import Matching, enumerate_oracle, max_nice_matching, solve_exact
+from .exact import Matching, solve_exact
 from .field_hash import KWiseHash, UniversalHash, kwise_draw, universal_draw
 from .insertonly import (
     CopyState,
@@ -14,9 +14,9 @@ from .insertonly import (
     reduced_compact,
 )
 from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled
-from .partition import HashScheme, SchemeParams, build_scheme, collect_preimages, key_indices, isolation_witness
+from .partition import HashScheme, SchemeParams, build_scheme, key_indices, isolation_witness
 from .streams import StreamFile, gen_planted, parse_stream, render_stream
-from .trials import TrialConfig, TrialReport, measure, run_trials
+from .trials import TrialConfig, TrialReport, run_trials
 
 __all__ = [
     "CopyState",
@@ -37,18 +37,14 @@ __all__ = [
     "TrialReport",
     "UniversalHash",
     "build_scheme",
-    "collect_preimages",
     "compact",
     "edge_from_id",
     "edge_id",
-    "enumerate_oracle",
     "gen_planted",
     "insert_preprocess",
     "insert_query",
     "insert_update",
     "kwise_draw",
-    "max_nice_matching",
-    "measure",
     "parse_stream",
     "reduced_compact",
     "key_indices",

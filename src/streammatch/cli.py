@@ -1,17 +1,17 @@
 """Command-line surface.
 
     streammatch run    --model {dynamic|dynamic-approx|insert} [--k K]
-                       [--epsilon E] [--delta D] --seed S [--stats]
-                       [--oracle] FILE
+                       [--epsilon E] [--delta D] --seed S [--stats] FILE
     streammatch gen    --n N --k K --weights W --m M [--del-rate R]
                        --seed S [--model M] [--infeasible] [--out FILE]
     streammatch verify FILE
 
 ``run`` builds its matcher with ``trials.make_matcher`` and drives it with
-``trials.replay``.  Exit codes: 0 on success, 2 on parse/format error, 3
-on a one-sided violation (only detectable under ``run --oracle``, which
-replays the true graph alongside the sketch and checks every answer with
-``exact.is_valid_matching``).
+``trials.replay``, which also replays the true graph: an ill-formed
+stream (a duplicate insertion, a deletion of a dead edge, a weight that
+changes) stops the run, and every answer is checked against the live
+graph with ``exact.is_valid_matching``.  Exit codes: 0 on success, 2 on a
+parse, format or well-formedness error, 3 on a one-sided violation.
 
 Timings and per-update counters are measured by ``perfbench/run.py``.
 """
@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta", type=float, default=1 / 16)
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--stats", action="store_true")
-    run.add_argument("--oracle", action="store_true",
-                     help="replay the true graph and fail on one-sided violations")
     run.add_argument("file")
 
     gen = sub.add_parser("gen", help="generate a planted stream")
@@ -89,12 +87,11 @@ def _cmd_run(args) -> int:
     rng = spawn_rng(args.seed, "cli-run", args.model, k)
     matcher = make_matcher(args.model, sf.n, k, rng, args.epsilon, args.delta)
 
-    truth = GraphReplay() if args.oracle else None
+    truth = GraphReplay()
     violated = False
     for query_no, answer in enumerate(replay(sf.records, matcher, truth), 1):
         print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
-        if truth is not None and answer is not None \
-                and not is_valid_matching(answer, k, truth.live, matcher.mode):
+        if answer is not None and not is_valid_matching(answer, k, truth.live, matcher.mode):
             print(f"one-sided violation at query {query_no}", file=sys.stderr)
             violated = True
 
@@ -128,15 +125,15 @@ def _cmd_verify(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     sf = parse_stream(text)
-    replay = GraphReplay()
+    truth = GraphReplay()
     query_no = 0
     for record in sf.records:
         if record[0] == "Q":
             query_no += 1
-            answer = solve_exact(replay.edges(), sf.k) if replay.live else None
+            answer = solve_exact(truth.edges(), sf.k) if truth.live else None
             print(f"query {query_no}: oracle {_format_answer(answer, sf.precision)}")
         else:
-            replay.apply(record)
+            truth.apply(record)
     print(f"ok: {len(sf.records)} records, {query_no} queries")
     return EXIT_OK
 

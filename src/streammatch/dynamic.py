@@ -149,12 +149,6 @@ class BankSampler:
                 sketch.update(ident, step)
         self.sketch = sketch
 
-    def materialized_query(self, n_ids: int, delta: float):
-        """Force the full-construction path; test support for the fast paths."""
-        if self.sketch is None:
-            self._materialize(n_ids, delta)
-        return self.sketch.query()
-
 
 @dataclass
 class QueryStats:

@@ -3,22 +3,20 @@
 ``solve_exact`` is branch-and-bound over edges in decreasing key order
 (the key (weight, u, v) is a total order on the edges of a simple graph)
 with the admissible bound "current weight + sum of the next (k - chosen)
-weights".  ``enumerate_oracle`` is the independent brute force used to
-verify it.  Both visit candidate matchings in the same position-lex order
-over key-descending edges and keep the first strict improvement, which
-makes ties deterministic: among optimal k-matchings the one whose sorted
-key sequence is lexicographically largest wins.
+weights".  It visits candidate matchings in position-lex order over
+key-descending edges and keeps the first strict improvement, which makes
+ties deterministic: among optimal k-matchings the one whose sorted key
+sequence is lexicographically largest wins.
 
-These are kernel-extraction routines: inputs are a few thousand edges at
-most, so worst-case exponential corners of branch-and-bound do not matter
-here, and correctness is pinned by oracle equivalence.
+The bound ignores vertex conflicts, so the search is exponential in the
+worst case: on a graph with k-1 high-degree hubs one k=4 query takes
+about 12 s (ROADMAP item 4).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParameterError
 
@@ -118,61 +116,3 @@ def solve_exact(edges: Sequence[Edge], k: int) -> Matching | None:
 
     dfs(0, 0)
     return Matching(tuple(best)) if best is not None else None
-
-
-def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:
-    """Exhaustive maximum over all vertex-disjoint k-subsets of edges.
-
-    Caller-bounded: intended for instances small enough to enumerate all
-    k-subsets.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    es = _sorted_desc(edges)
-    best = None
-    best_w = None
-    for combo in itertools.combinations(es, k):
-        seen: set[int] = set()
-        ok = True
-        for u, v, _w in combo:
-            if u in seen or v in seen:
-                ok = False
-                break
-            seen.add(u)
-            seen.add(v)
-        if not ok:
-            continue
-        w = sum(e[2] for e in combo)
-        if best_w is None or w > best_w:
-            best = combo
-            best_w = w
-    return Matching(best) if best is not None else None
-
-
-def max_nice_matching(edges: Sequence[Edge], part_of: Callable[[int], int], k: int) -> Matching | None:
-    """Exhaustive maximum over k-matchings whose 2k endpoints occupy 2k distinct parts."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    es = _sorted_desc(edges)
-    best = None
-    best_w = None
-    for combo in itertools.combinations(es, k):
-        seen: set[int] = set()
-        parts: set[int] = set()
-        ok = True
-        for u, v, _w in combo:
-            pu, pv = part_of(u), part_of(v)
-            if u in seen or v in seen or pu == pv or pu in parts or pv in parts:
-                ok = False
-                break
-            seen.add(u)
-            seen.add(v)
-            parts.add(pu)
-            parts.add(pv)
-        if not ok:
-            continue
-        w = sum(e[2] for e in combo)
-        if best_w is None or w > best_w:
-            best = combo
-            best_w = w
-    return Matching(best) if best is not None else None

@@ -130,8 +130,7 @@ class ReduceTask:
     ``reduced_compact`` on the same input.
     """
 
-    def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int,
-                 record_input: bool = False):
+    def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
         self._head = head
         self._tail = tail
         self._part_of = part_of
@@ -139,7 +138,6 @@ class ReduceTask:
         self.ops_done = 0
         self.done = False
         self.result: list[Edge] | None = None
-        self.input_snapshot = list(head) + list(tail) if record_input else None
         self._workspace = 0
         self._gen = self._run()
 
@@ -152,11 +150,6 @@ class ReduceTask:
                 self.done = True
         self.ops_done += spent
         return spent
-
-    def run_to_completion(self) -> list[Edge]:
-        while not self.done:
-            self.step(1 << 20)
-        return self.result
 
     def workspace_edges(self) -> int:
         return self._workspace
@@ -210,7 +203,7 @@ class ReduceTask:
 class CopyState:
     """One copy of the insert-only pipeline."""
 
-    def __init__(self, n: int, k: int, f: UniversalHash, record_windows: bool = False):
+    def __init__(self, n: int, k: int, f: UniversalHash):
         self.n = n
         self.k = k
         self.f = f
@@ -220,10 +213,7 @@ class CopyState:
         self.reduced_prev: tuple[Edge, ...] = ()
         self.prev_window: list[Edge] = []
         self.cur_window: list[Edge] = []
-        self.record_windows = record_windows
-        self.window_log: list[tuple[list[Edge], list[Edge]]] = []
-        self.task = ReduceTask(self.reduced_prev, self.prev_window, f, k, record_input=record_windows)
-        self.last_update_ops = 0
+        self.task = ReduceTask(self.reduced_prev, self.prev_window, f, k)
         self.max_update_ops = 0
         self.max_stored_edges = 0
 
@@ -234,15 +224,11 @@ class CopyState:
         ops += 1
         if self.pos % self.window_len == 0:
             assert self.task.done, "reduce task must finish within its window"
-            if self.record_windows:
-                self.window_log.append((self.task.input_snapshot, list(self.task.result)))
             self.reduced_prev = tuple(self.task.result)
             self.prev_window = self.cur_window
             self.cur_window = []
-            self.task = ReduceTask(self.reduced_prev, self.prev_window, self.f, self.k,
-                                   record_input=self.record_windows)
+            self.task = ReduceTask(self.reduced_prev, self.prev_window, self.f, self.k)
             ops += 2
-        self.last_update_ops = ops
         if ops > self.max_update_ops:
             self.max_update_ops = ops
         stored = self.stored_edges()
@@ -265,17 +251,13 @@ def copies_for(delta: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / delta)))
 
 
-def insert_preprocess(n: int, k: int, delta: float, rng: random.Random,
-                      record_windows: bool = False) -> list[CopyState]:
+def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[CopyState]:
     """ceil(log2(1/delta)) independent copies, each with its own f: V -> [4k^2]."""
     if k < 1 or 2 * k > n:
         raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    return [
-        CopyState(n, k, universal_draw(n, 4 * k * k, rng), record_windows=record_windows)
-        for _ in range(copies_for(delta))
-    ]
+    return [CopyState(n, k, universal_draw(n, 4 * k * k, rng)) for _ in range(copies_for(delta))]
 
 
 def insert_update(copies: Sequence[CopyState], edge):

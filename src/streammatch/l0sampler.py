@@ -127,10 +127,6 @@ class L0Sampler:
         self._p = p
         self._grid = grid
 
-    def counter_count(self) -> int:
-        """Stored words of sketch state: three counters per cell."""
-        return self.reps * self.levels * 3
-
     def update(self, ident: int, count: int):
         """Apply a signed update; linear, so update order never matters."""
         if not 0 <= ident < self.n:

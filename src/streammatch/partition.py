@@ -141,9 +141,6 @@ class HashScheme:
     f: KWiseHash
     families: tuple[tuple[UniversalHash, ...], ...]
 
-    def part_of(self, x: int) -> int:
-        return self.f(x)
-
 
 def build_scheme(u_size: int, k: int, rng: random.Random) -> HashScheme:
     """Draw a fresh scheme for a universe of ``u_size`` keys and subsets of size ``k``.
@@ -177,20 +174,6 @@ def key_indices(x: int, scheme: HashScheme) -> list[int]:
     return [base + i * span + h(x) for i, h in enumerate(scheme.families[j])]
 
 
-def collect_preimages(scheme: HashScheme, u_size: int | None = None) -> dict[int, set[int]]:
-    """Exact preimage sets {x : index in key_indices(x)} over the whole universe.
-
-    Test support only; enumerates every key, so the caller bounds u_size.
-    """
-    if u_size is None:
-        u_size = scheme.params.u_size
-    preimages: dict[int, set[int]] = {}
-    for x in range(u_size):
-        for value in key_indices(x, scheme):
-            preimages.setdefault(value, set()).add(x)
-    return preimages
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Outcome of the isolation check for one subset S.
@@ -203,7 +186,6 @@ class WitnessReport:
     part_sizes_ok: bool
     perfect_per_part: bool
     witness_indices: tuple[int, ...] | None
-    preimages_verified: bool | None = None
 
 
 def _first_perfect_member(family, keys) -> int | None:
@@ -221,7 +203,7 @@ def _first_perfect_member(family, keys) -> int | None:
     return None
 
 
-def isolation_witness(s: set[int], scheme: HashScheme, verify_preimages: bool = False) -> WitnessReport:
+def isolation_witness(s: set[int], scheme: HashScheme) -> WitnessReport:
     """Check whether the scheme isolates the subset ``s`` and build the witness.
 
     Groups s by part, reports whether all parts stay below the
@@ -230,10 +212,6 @@ def isolation_witness(s: set[int], scheme: HashScheme, verify_preimages: bool = 
     per-element indices through the first such member; they are pairwise
     distinct by construction and their preimage sets are pairwise
     disjoint.
-
-    With ``verify_preimages`` the disjointness and coverage conditions are
-    additionally checked against the exhaustive preimage sets, which
-    enumerates the whole universe.
     """
     params = scheme.params
     if len(s) != params.k:
@@ -263,15 +241,4 @@ def isolation_witness(s: set[int], scheme: HashScheme, verify_preimages: bool = 
         h = scheme.families[j][eta]
         indices.extend(base + h(x) for x in keys)
     assert len(set(indices)) == len(s), "witness indices must be pairwise distinct"
-
-    verified = None
-    if verify_preimages:
-        preimages = collect_preimages(scheme)
-        sets = [preimages.get(i, set()) for i in indices]
-        covered = set().union(*sets) if sets else set()
-        verified = (
-            all(len(t & s) == 1 for t in sets)
-            and s <= covered
-            and all(not (sets[a] & sets[b]) for a in range(len(sets)) for b in range(a + 1, len(sets)))
-        )
-    return WitnessReport(part_sizes_ok, True, tuple(indices), verified)
+    return WitnessReport(part_sizes_ok, True, tuple(indices))

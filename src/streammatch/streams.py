@@ -33,15 +33,6 @@ class StreamFile:
     precision: int
     records: tuple[Record, ...]
 
-    @property
-    def has_deletes(self) -> bool:
-        return any(r[0] == "D" for r in self.records)
-
-    def edge_ops(self):
-        for r in self.records:
-            if r[0] != "Q":
-                yield r
-
 
 def scale_weight(token: str, precision: int, line_no: int = 0) -> int:
     if not _WEIGHT_RE.fullmatch(token):

@@ -1,4 +1,4 @@
-"""The stream driver, the Monte-Carlo trial runner and op/space measurement.
+"""The stream driver and the Monte-Carlo trial runner.
 
 ``make_matcher`` builds either pipeline behind one interface (``update``
 with an ``EdgeUpdate``, ``query``, ``mode``) and ``replay`` drives it over
@@ -25,7 +25,7 @@ from fractions import Fraction
 from .dynamic import DynamicMatcher, EdgeUpdate
 from .errors import ParameterError
 from .exact import is_valid_matching
-from .insertonly import InsertOnlyMatcher, task_budget, window_length
+from .insertonly import InsertOnlyMatcher
 from .seeds import derive_seed, spawn_rng
 from .streams import GraphReplay, gen_planted
 
@@ -72,15 +72,14 @@ def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
     return DynamicMatcher(n, k, rng, mode=mode, eps=eps if mode == "approx" else None)
 
 
-def replay(records, matcher, truth: GraphReplay | None = None):
-    """Apply each edge record to ``truth`` (when given), then to ``matcher``;
-    yield the matcher's answer at each query record."""
+def replay(records, matcher, truth: GraphReplay):
+    """Apply each edge record to ``truth``, then to ``matcher``; yield the
+    matcher's answer at each query record."""
     for record in records:
         if record[0] == "Q":
             yield matcher.query()
             continue
-        if truth is not None:
-            truth.apply(record)
+        truth.apply(record)
         matcher.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
 
 
@@ -140,60 +139,3 @@ def run_trials(config: TrialConfig, trials: int, seed: int) -> TrialReport:
                                                  len(matcher.wclasses))
         report.trials += 1
     return report
-
-
-def measure(config: TrialConfig, lengths: tuple[int, ...], seed: int) -> dict:
-    """Per-update op and space profile across stream lengths.
-
-    Space is reported in abstract words (counters, ids, coefficients), not
-    process bytes: the dynamic bank is charged at the full l0-sampler
-    construction it is equivalent to.
-    """
-    from .dynamic import abstract_sampler_words
-
-    profile: dict = {"model": config.model, "k": config.k, "per_length": {}}
-    for m in lengths:
-        cfg_seed = derive_seed(seed, "measure", m)
-        n = max(config.n, 2 * config.k)
-        while n * (n - 1) // 2 < 2 * m:
-            n *= 2
-        sf, _opt = gen_planted(n, config.k, config.weights, m, config.del_rate, cfg_seed,
-                               model="insert" if config.model == "insert" else "dynamic")
-        algo_rng = spawn_rng(seed, "measure", m, "algo")
-        matcher = make_matcher(config.model, n, config.k, algo_rng, config.eps, config.delta)
-        updates = (EdgeUpdate(rec[1], rec[2], rec[3], rec[0] == "I")
-                   for rec in sf.records if rec[0] != "Q")
-        if config.model == "insert":
-            copies = matcher.copies
-            max_ops = 0
-            for upd in updates:
-                matcher.update(upd)
-                max_ops = max(max_ops, sum(c.last_update_ops for c in copies))
-            entry = dict(
-                max_update_ops=max_ops,
-                budget=task_budget(config.k),
-                copies=len(copies),
-                max_stored_edges_per_copy=max(c.max_stored_edges for c in copies),
-                stored_bound_5q=5 * window_length(config.k),
-            )
-        else:
-            touched = set()
-            for upd in updates:
-                matcher.update(upd)
-                touched.add(matcher.last_touched)
-            params = matcher.scheme.params
-            pair_count = params.family_size ** 2
-            entry = dict(
-                touched_per_update=sorted(touched),
-                pairs_per_update=pair_count,
-                bank_size=len(matcher.bank),
-                bank_bound=min(matcher.updates_applied * pair_count,
-                               len(matcher.wclasses) * params.range_size**2),
-                weight_classes=len(matcher.wclasses),
-                abstract_words=len(matcher.bank) * abstract_sampler_words(matcher.n_ids, matcher.delta),
-            )
-        profile["per_length"][m] = entry
-    if config.model == "insert":
-        maxima = [profile["per_length"][m]["max_update_ops"] for m in lengths]
-        profile["update_ops_ratio"] = max(maxima) / min(maxima) if maxima else 1.0
-    return profile

@@ -9,10 +9,10 @@ import math
 import random
 import time
 
-from checks import interval_violations
+from checks import enumerate_oracle, interval_violations, max_nice_matching, measure
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate
-from streammatch.exact import enumerate_oracle, max_nice_matching, solve_exact
+from streammatch.exact import solve_exact
 from streammatch.field_hash import universal_draw
 from streammatch.insertonly import (
     insert_preprocess,
@@ -25,7 +25,7 @@ from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import build_scheme, isolation_witness
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
-from streammatch.trials import TrialConfig, measure, run_trials
+from streammatch.trials import TrialConfig, run_trials
 
 
 def _report(num, name, ok, details):
@@ -190,24 +190,31 @@ def test_criterion_08_staggering_equivalence():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = rng.sample(pairs, m)
         stream = [(u, v, rng.randint(1, 40)) for u, v in chosen]
-        copies = insert_preprocess(n, 2, 0.5, rng, record_windows=True)
+        copies = insert_preprocess(n, 2, 0.5, rng)
         copy = copies[0]
         parts = {v: copy.f(v) for v in range(n)}
-        for e in stream:
-            copy.update(e)
         q = copy.window_len
+        # The task of window j runs over reduced_prev + prev_window as they
+        # stand right after boundary j-1 (empty for the first window).
+        task_input: list = []
         expected_gf: list = []
-        for j, (recorded_input, produced) in enumerate(copy.window_log, start=1):
+        for pos, e in enumerate(stream, start=1):
+            copy.update(e)
+            if pos % q:
+                continue
             windows += 1
+            j = pos // q
             if j == 1:
                 expected_input = []
             else:
                 expected_input = expected_gf + stream[(j - 2) * q:(j - 1) * q]
-            if recorded_input != expected_input:
+            if task_input != expected_input:
                 bad_inputs += 1
-            if produced != reduced_compact(recorded_input, parts.__getitem__, 2):
+            produced = list(copy.reduced_prev)
+            if produced != reduced_compact(task_input, parts.__getitem__, 2):
                 bad_outputs += 1
-            expected_gf = list(produced)
+            expected_gf = produced
+            task_input = list(copy.reduced_prev) + list(copy.prev_window)
     _report(8, "staggering equivalence", bad_outputs == 0 and bad_inputs == 0,
             f"{windows} windows over m in {{500, 10000}}: "
             f"input mismatches={bad_inputs}, output mismatches={bad_outputs}")

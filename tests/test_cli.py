@@ -1,4 +1,9 @@
+import pytest
+
+from streammatch import cli
 from streammatch.cli import main
+from streammatch.exact import Matching
+from streammatch.trials import make_matcher
 
 
 def _gen_file(tmp_path, args):
@@ -62,11 +67,11 @@ def test_run_golden_outputs(tmp_path, capsys):
         (["--model", "dynamic-approx", "--epsilon", "0.1"], dyn, GOLDEN_APPROX),
     ]
     for model_args, path, expected in runs:
-        assert main(["run", *model_args, "--seed", "3", "--stats", "--oracle", str(path)]) == 0
+        assert main(["run", *model_args, "--seed", "3", "--stats", str(path)]) == 0
         assert capsys.readouterr().out == expected
     ins = _with_queries(_gen_file(tmp_path, ["--n", "12", "--k", "1", "--weights", "3",
                                              "--m", "40", "--seed", "7", "--model", "insert"]), 10)
-    assert main(["run", "--model", "insert", "--seed", "3", "--stats", "--oracle", str(ins)]) == 0
+    assert main(["run", "--model", "insert", "--seed", "3", "--stats", str(ins)]) == 0
     assert capsys.readouterr().out == GOLDEN_INSERT
 
 
@@ -74,7 +79,7 @@ def test_gen_and_run_dynamic(tmp_path, capsys):
     path = _gen_file(tmp_path, ["--n", "20", "--k", "2", "--weights", "4",
                                 "--m", "60", "--del-rate", "0.3", "--seed", "5"])
     code = main(["run", "--model", "dynamic", "--k", "2", "--seed", "1",
-                 "--stats", "--oracle", str(path)])
+                 "--stats", str(path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "query 1:" in out
@@ -104,10 +109,40 @@ def test_run_approx_model_huge_weight(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text(f"H 4 1 0\nI 0 1 {10**400 + 1}\nI 2 3 5\nQ\n")
     code = main(["run", "--model", "dynamic-approx", "--epsilon", "0.1", "--seed", "1",
-                 "--oracle", str(path)])
+                 str(path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("query 1: weight=1.") and "e+400 edges: (0,1,1." in out
+
+
+@pytest.mark.parametrize("text, model, message", [
+    ("H 4 1 0\nD 0 1 5\nQ\n", "dynamic", "deletion of dead edge"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "dynamic", "duplicate insertion"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "insert", "duplicate insertion"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "dynamic", "changed from 5 to 7"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "insert", "changed from 5 to 7"),
+], ids=["dead-delete-dynamic", "duplicate-dynamic", "duplicate-insert", "drift-dynamic", "drift-insert"])
+def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
+    path = tmp_path / "ill.txt"
+    path.write_text(text)
+    assert main(["run", "--model", model, "--seed", "1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "query" not in captured.out
+    assert message in captured.err
+
+
+def test_run_exit_code_on_one_sided_violation(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+
+    def fabricating_matcher(*args):
+        matcher = make_matcher(*args)
+        matcher.query = lambda: Matching(((2, 3, 5),))
+        return matcher
+
+    monkeypatch.setattr(cli, "make_matcher", fabricating_matcher)
+    assert main(["run", "--model", "dynamic", "--seed", "1", str(path)]) == 3
+    assert "one-sided violation at query 1" in capsys.readouterr().err
 
 
 def test_run_rejects_deletions_for_insert_model(tmp_path, capsys):

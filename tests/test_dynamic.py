@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import enumerate_oracle
+
 from streammatch.dynamic import (
     BankSampler,
     DynamicMatcher,
@@ -16,7 +18,6 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import enumerate_oracle
 from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.streams import GraphReplay, gen_planted
 
@@ -149,7 +150,8 @@ def test_bank_sampler_fast_paths_match_full_construction():
         if len(net) <= 1:
             slow = BankSampler(seed=rec.seed)
             slow.net = dict(rec.net)
-            assert slow.materialized_query(n_ids, 0.05) == fast
+            slow._materialize(n_ids, 0.05)
+            assert slow.sketch.query() == fast
         if not net:
             assert fast is EMPTY
         elif len(net) == 1:

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import enumerate_oracle, max_nice_matching
+
 from streammatch.errors import ParameterError
-from streammatch.exact import (
-    Matching,
-    edge_key,
-    enumerate_oracle,
-    is_valid_matching,
-    max_nice_matching,
-    solve_exact,
-)
+from streammatch.exact import Matching, edge_key, is_valid_matching, solve_exact
 
 
 def test_single_edge():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from checks import enumerate_oracle, max_nice_matching
+
 from streammatch.errors import ModelError, ParameterError
-from streammatch.exact import enumerate_oracle, max_nice_matching, solve_exact
+from streammatch.exact import solve_exact
 from streammatch.insertonly import (
     CopyState,
     InsertOnlyMatcher,
@@ -130,6 +132,29 @@ def test_task_matches_monolithic_reduction():
         assert steps <= max(1, -(-task_worst_ops(len(edges), k) // budget) + 1)
 
 
+def test_task_matches_monolithic_reduction_when_rank_cap_binds():
+    # At k <= 2 no part has more than 4k^2 - 1 <= 8k - 1 compact neighbours,
+    # so the 8k rank cap never rejects an edge; a heavy star over all 36
+    # parts at k = 3 makes the cap of 24 reject 11 edges of the hub's part.
+    k = 3
+
+    def part_of(v):
+        return v % (4 * k * k)
+
+    rng = random.Random(5)
+    edges = [(0, v, 100 + v) for v in range(1, 36)]
+    edges += [(u, v, rng.randint(1, 50)) for u in range(36, 72) for v in range(u + 1, 72)
+              if rng.random() < 0.1]
+    rng.shuffle(edges)
+    want = reduced_compact(edges, part_of, k)
+    assert sum(1 for e in want if e[0] == 0) == 8 * k
+    for cut in (0, len(edges) // 2, len(edges)):
+        task = ReduceTask(edges[:cut], edges[cut:], part_of, k)
+        while not task.done:
+            task.step(task_budget(k))
+        assert task.result == want
+
+
 def test_preprocess_validation():
     rng = random.Random(0)
     assert len(insert_preprocess(16, 2, 0.5, rng)) == 1
@@ -196,7 +221,7 @@ def test_per_update_ops_bounded():
     pairs = rng.sample([(u, v) for u in range(80) for v in range(u + 1, 80)], 400)
     for u, v in pairs:
         insert_update(copies, (u, v, rng.randint(1, 4)))
-        assert copy.last_update_ops <= budget + 16 + 3
+        assert copy.max_update_ops <= budget + 16 + 3
 
 
 def test_query_is_one_sided():

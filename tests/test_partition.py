@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from checks import collect_preimages
+
 from streammatch.errors import DomainError, ParameterError
 from streammatch.field_hash import KWiseHash, UniversalHash
 from streammatch.partition import (
     HashScheme,
     SchemeParams,
     build_scheme,
-    collect_preimages,
     key_indices,
     scaled_ln_ceil,
     isolation_witness,
@@ -119,9 +120,10 @@ def test_collect_preimages_membership_counts():
 
 def test_collect_preimages_single_key():
     scheme = build_scheme(64, 2, random.Random(2))
-    pre = collect_preimages(scheme, u_size=1)
-    assert sum(1 for t in pre.values() if 0 in t) == scheme.params.family_size
-    assert len(pre) == scheme.params.family_size
+    pre = collect_preimages(scheme)
+    holding_0 = {value for value, t in pre.items() if 0 in t}
+    assert holding_0 == set(key_indices(0, scheme))
+    assert len(holding_0) == scheme.params.family_size
 
 
 def test_interval_disjointness_small():
@@ -144,12 +146,17 @@ def test_witness_k2_singletons():
 
 def test_witness_conditions_verified_exhaustively():
     hits = 0
+    s = {3, 31, 59}
     for seed in range(10):
         scheme = build_scheme(64, 3, random.Random(seed))
-        report = isolation_witness({3, 31, 59}, scheme, verify_preimages=True)
+        report = isolation_witness(s, scheme)
         if report.witness_indices is not None:
             hits += 1
-            assert report.preimages_verified
+            preimages = collect_preimages(scheme)
+            sets = [preimages.get(i, set()) for i in report.witness_indices]
+            assert all(len(t & s) == 1 for t in sets)
+            assert s <= set().union(*sets)
+            assert all(not (sets[a] & sets[b]) for a in range(3) for b in range(a + 1, 3))
             assert len(set(report.witness_indices)) == 3
     assert hits > 0
 

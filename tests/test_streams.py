@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import enumerate_oracle
+
 from streammatch.errors import ModelError, ParameterError, StreamFormatError
-from streammatch.exact import enumerate_oracle
 from streammatch.streams import (
     GraphReplay,
-    StreamFile,
     format_weight,
     gen_planted,
     parse_stream,
@@ -105,7 +105,7 @@ def test_replay_allows_reinsertion_same_weight():
 
 def test_gen_planted_no_deletions_keeps_everything():
     sf, opt = gen_planted(20, 2, 4, 40, 0.0, seed=3)
-    assert not sf.has_deletes
+    assert all(r[0] != "D" for r in sf.records)
     replay = GraphReplay()
     for r in sf.records:
         if r[0] != "Q":
@@ -151,8 +151,3 @@ def test_gen_infeasible_has_no_k_matching():
             if r[0] != "Q":
                 replay.apply(r)
         assert enumerate_oracle(replay.edges(), 2) is None
-
-
-def test_stream_file_edge_ops():
-    sf = StreamFile(n=4, k=1, precision=0, records=(("I", 0, 1, 5), ("Q",), ("D", 0, 1, 5)))
-    assert list(sf.edge_ops()) == [("I", 0, 1, 5), ("D", 0, 1, 5)]

@@ -1,7 +1,9 @@
 import pytest
 
+from checks import measure
+
 from streammatch.errors import ParameterError
-from streammatch.trials import TrialConfig, measure, run_trials
+from streammatch.trials import TrialConfig, run_trials
 
 
 def test_config_validation():
