@@ -9,9 +9,11 @@
 ``run`` builds its matcher with ``trials.make_matcher`` and drives it with
 ``trials.replay``, which also replays the true graph: an ill-formed
 stream (a duplicate insertion, a deletion of a dead edge, a weight that
-changes) stops the run, and every answer is checked against the live
-graph with ``exact.is_valid_matching``.  Exit codes: 0 on success, 2 on a
-parse, format or well-formedness error, 3 on a one-sided violation.
+changes) or a record the matcher rejects (a zero weight under
+``dynamic-approx``) stops the run with the record's line number, and every
+answer is checked against the live graph with ``exact.is_valid_matching``.
+Exit codes: 0 on success, 2 on a parse, format or well-formedness error,
+3 on a one-sided violation.
 
 Timings and per-update counters are measured by ``perfbench/run.py``.
 """
@@ -22,10 +24,10 @@ import argparse
 import sys
 from decimal import Decimal
 
-from .errors import StreamMatchError, StreamFormatError
+from .errors import ModelError, RecordError, StreamMatchError, StreamFormatError
 from .exact import is_valid_matching, solve_exact
 from .seeds import spawn_rng
-from .streams import GraphReplay, format_weight, gen_planted, parse_stream, render_stream
+from .streams import GraphReplay, format_weight, gen_planted, parse_stream, record_line, render_stream
 from .trials import make_matcher, replay
 
 EXIT_OK = 0
@@ -89,11 +91,14 @@ def _cmd_run(args) -> int:
 
     truth = GraphReplay()
     violated = False
-    for query_no, answer in enumerate(replay(sf.records, matcher, truth), 1):
-        print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
-        if answer is not None and not is_valid_matching(answer, k, truth.live, matcher.mode):
-            print(f"one-sided violation at query {query_no}", file=sys.stderr)
-            violated = True
+    try:
+        for query_no, answer in enumerate(replay(sf.records, matcher, truth), 1):
+            print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
+            if answer is not None and not is_valid_matching(answer, k, truth.live, matcher.mode):
+                print(f"one-sided violation at query {query_no}", file=sys.stderr)
+                violated = True
+    except RecordError as exc:
+        raise StreamFormatError(record_line(text, exc.index), str(exc)) from exc
 
     if args.stats:
         if args.model == "insert":
@@ -127,13 +132,16 @@ def _cmd_verify(args) -> int:
     sf = parse_stream(text)
     truth = GraphReplay()
     query_no = 0
-    for record in sf.records:
+    for index, record in enumerate(sf.records):
         if record[0] == "Q":
             query_no += 1
             answer = solve_exact(truth.edges(), sf.k) if truth.live else None
             print(f"query {query_no}: oracle {_format_answer(answer, sf.precision)}")
         else:
-            truth.apply(record)
+            try:
+                truth.apply(record)
+            except ModelError as exc:
+                raise StreamFormatError(record_line(text, index), str(exc)) from exc
     print(f"ok: {len(sf.records)} records, {query_no} queries")
     return EXIT_OK
 

@@ -25,6 +25,17 @@ sketch, whose randomness comes from a per-key derived seed and therefore
 does not depend on creation order.  The abstract space accounting in the
 harness still charges the full construction's counters.
 
+Because the outcome of a sketch-less entry with at most one id is known
+without decoding it, the matcher keeps an incremental index instead of
+sweeping the bank at each query: the number of sketch-less entries whose
+net vector is exactly {id}, per (id, weight class), and the set of "slow"
+entries -- those holding two or more ids, or a sketch (once materialized,
+an entry stays slow).  ``update`` moves entries between the two as their
+support size crosses 1 and 2; a query reads the single edges straight off
+the index and decodes only the slow entries, so it costs O(distinct live
+edges + slow entries) instead of O(bank size), with the same answers and
+the same ``QueryStats``.
+
 One DynamicMatcher per stream; single-owner mutation; queries are
 read-only and repeatable.
 """
@@ -132,11 +143,6 @@ class BankSampler:
 
     def query(self, n_ids: int, delta: float):
         if self.sketch is None:
-            if not self.net:
-                return EMPTY
-            if len(self.net) == 1:
-                ((ident, _c),) = self.net.items()
-                return Sampled(ident)
             self._materialize(n_ids, delta)
         return self.sketch.query()
 
@@ -185,6 +191,12 @@ class DynamicMatcher:
         self.last_touched = 0
         self.last_query_stats = QueryStats()
         self._rep_cache: dict[int, Fraction] = {}
+        # The query index (module docstring): sketch-less entries whose net
+        # vector is exactly {id}, counted per (id, weight class), their
+        # total, and the keys of the slow entries.
+        self._singles: dict[tuple[int, int], int] = {}
+        self._single_total = 0
+        self._slow: set[tuple] = set()
 
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
@@ -199,6 +211,7 @@ class DynamicMatcher:
         count = 1 if upd.insert else -1
         bank = self.bank
         touched = 0
+        gained = 0  # change in the number of sketch-less entries that are exactly {ident}
         for i in values_u:
             for j in values_v:
                 key = (i, j, wc)
@@ -207,12 +220,35 @@ class DynamicMatcher:
                     assert i < self.scheme.params.range_size and j < self.scheme.params.range_size
                     rec = BankSampler(derive_seed(self._bank_seed, i, j, wc))
                     bank[key] = rec
+                before = len(rec.net)
                 rec.update(ident, count)
                 touched += 1
+                if rec.sketch is None:
+                    after = len(rec.net)
+                    if before + after == 1:  # 0 -> 1 or 1 -> 0
+                        gained += after - before
+                    elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
+                        other = next(x for x in rec.net if x != ident)
+                        if after == 2:
+                            self._slow.add(key)
+                            self._count_single((other, wc), -1)
+                        else:
+                            self._slow.remove(key)
+                            self._count_single((other, wc), 1)
+        if gained:
+            self._count_single((ident, wc), gained)
         self.updates_applied += 1
         self.wclasses.add(wc)
         self.last_touched = touched
         self._assert_budgets(touched)
+
+    def _count_single(self, single: tuple[int, int], delta: int):
+        c = self._singles.get(single, 0) + delta
+        if c:
+            self._singles[single] = c
+        else:
+            del self._singles[single]
+        self._single_total += delta
 
     def _assert_budgets(self, touched: int):
         params = self.scheme.params
@@ -227,29 +263,35 @@ class DynamicMatcher:
     def query(self) -> Matching | None:
         """Sample every bank entry once and solve exactly on the sampled edges.
 
-        Repeatable: no state is consumed, so back-to-back queries agree.
+        Entries that are sketch-less with at most one id are read off the
+        index; only the slow entries are decoded.  Repeatable: no state is
+        consumed, so back-to-back queries agree.
         """
-        stats = QueryStats()
-        edges: set = set()
-        for (_i, _j, wc), rec in self.bank.items():
-            res = rec.query(self.n_ids, self.delta)
+        sampled = set(self._singles)
+        stats = QueryStats(sampled=self._single_total,
+                           empty=len(self.bank) - self._single_total - len(self._slow))
+        for key in self._slow:
+            res = self.bank[key].query(self.n_ids, self.delta)
             if isinstance(res, Sampled):
                 stats.sampled += 1
-                u, v = edge_from_id(res.ident)
-                if self.mode == "approx":
-                    w = self._rep_cache.get(wc)
-                    if w is None:
-                        w = self._rep_cache[wc] = class_representative(wc, self.eps)
-                else:
-                    w = wc
-                edges.add((u, v, w))
+                sampled.add((res.ident, key[2]))
             elif res is EMPTY:
                 stats.empty += 1
             else:
                 stats.failed += 1
         self.last_query_stats = stats
-        if not edges:
+        if not sampled:
             return None
+        edges = []
+        for ident, wc in sampled:
+            u, v = edge_from_id(ident)
+            if self.mode == "approx":
+                w = self._rep_cache.get(wc)
+                if w is None:
+                    w = self._rep_cache[wc] = class_representative(wc, self.eps)
+            else:
+                w = wc
+            edges.append((u, v, w))
         return solve_exact(sorted(edges), self.k)
 
 

@@ -17,6 +17,15 @@ class ModelError(StreamMatchError, ValueError):
     """A stream operation is illegal for the current streaming model."""
 
 
+class RecordError(StreamMatchError, ValueError):
+    """Applying one stream record failed; ``index`` is its 0-based position
+    in the record list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class StreamFormatError(StreamMatchError, ValueError):
     """A stream file is malformed.
 

@@ -135,7 +135,6 @@ class ReduceTask:
         self._tail = tail
         self._part_of = part_of
         self._k = k
-        self.ops_done = 0
         self.done = False
         self.result: list[Edge] | None = None
         self._workspace = 0
@@ -148,7 +147,6 @@ class ReduceTask:
                 spent += next(self._gen)
             except StopIteration:
                 self.done = True
-        self.ops_done += spent
         return spent
 
     def workspace_edges(self) -> int:

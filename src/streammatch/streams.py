@@ -50,14 +50,18 @@ def format_weight(scaled: int, precision: int) -> str:
     return f"{scaled // 10**precision}.{scaled % 10**precision:0{precision}d}"
 
 
+def _fields(text: str):
+    """(line number, fields) of each line that is not blank or a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line.split()
+
+
 def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
     header = None
     records: list[Record] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for line_no, fields in _fields(text):
         tag = fields[0]
         if tag == "H":
             if header is not None:
@@ -104,6 +108,11 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
     if not any(r[0] == "Q" for r in records):
         raise StreamFormatError(0, "no query record")
     return StreamFile(n=header[0], k=header[1], precision=header[2], records=tuple(records))
+
+
+def record_line(text: str, index: int) -> int:
+    """The source line of record ``index`` of a text ``parse_stream`` accepted."""
+    return [line_no for line_no, fields in _fields(text) if fields[0] != "H"][index]
 
 
 def render_stream(sf: StreamFile) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dynamic import DynamicMatcher, EdgeUpdate
-from .errors import ParameterError
+from .errors import ParameterError, RecordError, StreamMatchError
 from .exact import is_valid_matching
 from .insertonly import InsertOnlyMatcher
 from .seeds import derive_seed, spawn_rng
@@ -74,13 +74,17 @@ def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
 
 def replay(records, matcher, truth: GraphReplay):
     """Apply each edge record to ``truth``, then to ``matcher``; yield the
-    matcher's answer at each query record."""
-    for record in records:
+    matcher's answer at each query record.  An error raised while applying
+    a record is re-raised as a ``RecordError`` naming the record's index."""
+    for index, record in enumerate(records):
         if record[0] == "Q":
             yield matcher.query()
             continue
-        truth.apply(record)
-        matcher.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
+        try:
+            truth.apply(record)
+            matcher.update(EdgeUpdate(record[1], record[2], record[3], record[0] == "I"))
+        except StreamMatchError as exc:
+            raise RecordError(index, str(exc)) from exc
 
 
 def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, report: TrialReport):

@@ -3,10 +3,18 @@
 import itertools
 from typing import Callable, Sequence
 
-from streammatch.dynamic import EdgeUpdate, abstract_sampler_words
+from streammatch.dynamic import (
+    BankSampler,
+    EdgeUpdate,
+    QueryStats,
+    abstract_sampler_words,
+    class_representative,
+    edge_from_id,
+)
 from streammatch.errors import ParameterError
-from streammatch.exact import Edge, Matching, _sorted_desc
+from streammatch.exact import Edge, Matching, _sorted_desc, solve_exact
 from streammatch.insertonly import task_budget, window_length
+from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import HashScheme, key_indices
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
@@ -51,6 +59,45 @@ def collect_preimages(scheme: HashScheme) -> dict[int, set[int]]:
         for value in key_indices(x, scheme):
             preimages.setdefault(value, set()).add(x)
     return preimages
+
+
+def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
+    """Reference ``DynamicMatcher.query``: decode every bank entry once.
+
+    A zero vector is EMPTY and a one-sparse vector decodes as its id (the
+    full construction's exact outcomes); a sketched entry queries its
+    sketch; any other entry decodes a freshly materialized copy, so the
+    matcher is left untouched.  Returns the answer and the query stats.
+    """
+    stats = QueryStats()
+    edges: set = set()
+    reps: dict = {}
+    for (_i, _j, wc), rec in matcher.bank.items():
+        if rec.sketch is not None:
+            res = rec.sketch.query()
+        elif not rec.net:
+            res = EMPTY
+        elif len(rec.net) == 1:
+            res = Sampled(next(iter(rec.net)))
+        else:
+            copy = BankSampler(rec.seed)
+            copy.net = dict(rec.net)
+            res = copy.query(matcher.n_ids, matcher.delta)
+        if isinstance(res, Sampled):
+            stats.sampled += 1
+            u, v = edge_from_id(res.ident)
+            if matcher.mode == "approx":
+                if wc not in reps:
+                    reps[wc] = class_representative(wc, matcher.eps)
+                w = reps[wc]
+            else:
+                w = wc
+            edges.add((u, v, w))
+        elif res is EMPTY:
+            stats.empty += 1
+        else:
+            stats.failed += 1
+    return (solve_exact(sorted(edges), matcher.k) if edges else None), stats
 
 
 def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:

@@ -116,12 +116,16 @@ def test_run_approx_model_huge_weight(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, model, message", [
-    ("H 4 1 0\nD 0 1 5\nQ\n", "dynamic", "deletion of dead edge"),
-    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "dynamic", "duplicate insertion"),
-    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "insert", "duplicate insertion"),
-    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "dynamic", "changed from 5 to 7"),
-    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "insert", "changed from 5 to 7"),
-], ids=["dead-delete-dynamic", "duplicate-dynamic", "duplicate-insert", "drift-dynamic", "drift-insert"])
+    ("H 4 1 0\nD 0 1 5\nQ\n", "dynamic", "error: line 2: deletion of dead edge (0, 1)"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "dynamic", "error: line 3: duplicate insertion of live edge (0, 1)"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "insert", "error: line 3: duplicate insertion of live edge (0, 1)"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "dynamic", "error: line 3: weight of edge (0, 1) changed from 5 to 7"),
+    ("H 4 1 0\nI 0 1 5\nI 0 1 7\nQ\n", "insert", "error: line 3: weight of edge (0, 1) changed from 5 to 7"),
+    ("H 4 1 0\nI 0 1 0\nQ\n", "dynamic-approx", "error: line 2: weight classes need w > 0, got 0"),
+    ("H 4 1 0\n# note\n\nI 0 1 5\nD 0 1 5\nD 0 1 5\nQ\n", "dynamic",
+     "error: line 6: deletion of dead edge (0, 1)"),
+], ids=["dead-delete-dynamic", "duplicate-dynamic", "duplicate-insert", "drift-dynamic", "drift-insert",
+        "zero-weight-approx", "dead-delete-after-comments"])
 def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     path = tmp_path / "ill.txt"
     path.write_text(text)
@@ -158,6 +162,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("H 4 1 0\nI 0 9 5\nQ\n")
     assert main(["verify", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_verify_names_the_line_of_an_ill_formed_record(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\nI 0 1 7\nQ\n")
+    assert main(["verify", str(path)]) == 2
+    assert "error: line 4: weight of edge (0, 1) changed from 5 to 7" in capsys.readouterr().err
 
 
 def test_verify_well_formed(tmp_path, capsys):

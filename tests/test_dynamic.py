@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import enumerate_oracle
+from checks import enumerate_oracle, sweep_query
 
 from streammatch.dynamic import (
     BankSampler,
@@ -19,6 +19,7 @@ from streammatch.dynamic import (
 )
 from streammatch.errors import DomainError, ParameterError
 from streammatch.l0sampler import EMPTY, Sampled
+from streammatch.partition import key_indices
 from streammatch.streams import GraphReplay, gen_planted
 
 
@@ -134,11 +135,16 @@ def test_query_repeatable():
     assert dm.query() == first
 
 
-def test_bank_sampler_fast_paths_match_full_construction():
+def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
+    # DynamicMatcher.query reads a sketch-less entry with at most one id off
+    # its index without decoding it; these are the outcomes the full
+    # construction gives there.  The sketch is live from the start, and the
+    # lazily materialized copy of the same net vector must decode alike.
     rng = random.Random(99)
     for trial in range(200):
         rec = BankSampler(seed=rng.getrandbits(63))
         n_ids = 120
+        rec._materialize(n_ids, 0.05)
         net: dict[int, int] = {}
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)
@@ -146,16 +152,84 @@ def test_bank_sampler_fast_paths_match_full_construction():
             rec.update(ident, count)
             net[ident] = net.get(ident, 0) + count
         net = {i: c for i, c in net.items() if c}
-        fast = rec.query(n_ids, 0.05)
-        if len(net) <= 1:
-            slow = BankSampler(seed=rec.seed)
-            slow.net = dict(rec.net)
-            slow._materialize(n_ids, 0.05)
-            assert slow.sketch.query() == fast
+        full = rec.query(n_ids, 0.05)
+        lazy = BankSampler(seed=rec.seed)
+        lazy.net = dict(rec.net)
+        lazy._materialize(n_ids, 0.05)
+        assert lazy.sketch.query() == full
         if not net:
-            assert fast is EMPTY
+            assert full is EMPTY
         elif len(net) == 1:
-            assert fast == Sampled(next(iter(net)))
+            assert full == Sampled(next(iter(net)))
+
+
+def _churn_stream(n: int, length: int, rng: random.Random):
+    """Inserts and deletions of weight 1 or 2 over n vertices; about 5% of
+    the updates are ill-formed (a duplicate insertion of a live edge or a
+    deletion of a dead one), which DynamicMatcher accepts."""
+    live: dict[tuple[int, int], int] = {}
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.025 and live:
+            (u, v), w = rng.choice(sorted(live.items()))
+            yield EdgeUpdate(u, v, w, True)
+        elif r < 0.05:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in live:
+                yield EdgeUpdate(u, v, rng.choice((1, 2)), False)
+        elif r < 0.25 and live:
+            (u, v), w = rng.choice(sorted(live.items()))
+            del live[(u, v)]
+            yield EdgeUpdate(u, v, w, False)
+        else:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in live:
+                live[(u, v)] = rng.choice((1, 2))
+                yield EdgeUpdate(u, v, live[(u, v)], True)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_indexed_query_matches_full_sweep(mode):
+    # At these sizes some bank entries become two-or-more-sparse, so the
+    # index moves entries in and out of its slow set and queries materialize.
+    eps = Fraction(1, 2) if mode == "approx" else None
+    checks = materialized = 0
+    for n in (600, 1500, 3000):
+        dm = DynamicMatcher(n, 2, random.Random(n + 1), mode=mode, eps=eps)
+        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
+            dm.update(upd)
+            if step % 25 == 0:
+                answer, stats = sweep_query(dm)
+                assert dm.query() == answer, (n, step)
+                assert dm.last_query_stats == stats, (n, step)
+                checks += 1
+        materialized += sum(1 for rec in dm.bank.values() if rec.sketch is not None)
+    assert checks >= 60
+    assert materialized >= 1
+
+
+def test_index_follows_entries_across_two_ids():
+    # Edges (0, 1) and (0, x) share every entry (i, j) with i a value of
+    # vertex 0 and j a value of both 1 and x, so those entries cross between
+    # one and two ids, with and without a sketch.
+    dm = DynamicMatcher(600, 1, random.Random(1))
+    values_1 = set(key_indices(1, dm.scheme))
+    x = next(x for x in range(2, 600) if values_1 & set(key_indices(x, dm.scheme)))
+    batches = [
+        [(1, True)],
+        [(x, True), (x, False)],  # 1 -> 2 -> 1, back to (0, 1)
+        [(x, True), (1, False)],  # 1 -> 2 -> 1, now (0, x)
+        [(1, True)],  # 1 -> 2; this query materializes the shared entries
+        [(1, False), (x, False)],  # sketched entries stay slow down to 0 ids
+        [(x, False)],  # ill-formed: a dead edge, net count -1
+    ]
+    for batch in batches:
+        for v, insert in batch:
+            dm.update(EdgeUpdate(0, v, 3, insert))
+        answer, stats = sweep_query(dm)
+        assert dm.query() == answer
+        assert dm.last_query_stats == stats
+    assert any(rec.sketch is not None for rec in dm.bank.values())
 
 
 def test_planted_instance_weight_23():
