@@ -7,14 +7,12 @@ from .insertonly import (
     CopyState,
     InsertOnlyMatcher,
     ReduceTask,
-    compact,
     insert_preprocess,
     insert_query,
     insert_update,
-    reduced_compact,
 )
 from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled
-from .partition import HashScheme, SchemeParams, build_scheme, key_indices, isolation_witness
+from .partition import HashScheme, SchemeParams, build_scheme, key_indices
 from .streams import StreamFile, gen_planted, parse_stream, render_stream
 from .trials import TrialConfig, TrialReport, run_trials
 
@@ -37,7 +35,6 @@ __all__ = [
     "TrialReport",
     "UniversalHash",
     "build_scheme",
-    "compact",
     "edge_from_id",
     "edge_id",
     "gen_planted",
@@ -46,12 +43,10 @@ __all__ = [
     "insert_update",
     "kwise_draw",
     "parse_stream",
-    "reduced_compact",
     "key_indices",
     "render_stream",
     "run_trials",
     "solve_exact",
-    "isolation_witness",
     "universal_draw",
     "weight_class",
 ]

@@ -28,7 +28,7 @@ from .errors import ModelError, RecordError, StreamMatchError, StreamFormatError
 from .exact import is_valid_matching, solve_exact
 from .seeds import spawn_rng
 from .streams import GraphReplay, format_weight, gen_planted, parse_stream, record_line, render_stream
-from .trials import make_matcher, replay
+from .trials import MODELS, make_matcher, replay
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="replay a stream file and answer its queries")
-    run.add_argument("--model", required=True, choices=("dynamic", "dynamic-approx", "insert"))
+    run.add_argument("--model", required=True, choices=MODELS)
     run.add_argument("--k", type=int, default=None, help="override the header parameter")
     run.add_argument("--epsilon", type=float, default=0.1)
     run.add_argument("--delta", type=float, default=1 / 16)
@@ -151,9 +151,6 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except StreamFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (StreamMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -25,16 +25,16 @@ sketch, whose randomness comes from a per-key derived seed and therefore
 does not depend on creation order.  The abstract space accounting in the
 harness still charges the full construction's counters.
 
-Because the outcome of a sketch-less entry with at most one id is known
-without decoding it, the matcher keeps an incremental index instead of
-sweeping the bank at each query: the number of sketch-less entries whose
+Because the outcome of an entry with at most one id is known without
+decoding it (with or without a sketch: the sketch is linear and decodes
+0- and 1-sparse vectors exactly), the matcher keeps an incremental index
+instead of sweeping the bank at each query: the number of entries whose
 net vector is exactly {id}, per (id, weight class), and the set of "slow"
-entries -- those holding two or more ids, or a sketch (once materialized,
-an entry stays slow).  ``update`` moves entries between the two as their
-support size crosses 1 and 2; a query reads the single edges straight off
-the index and decodes only the slow entries, so it costs O(distinct live
-edges + slow entries) instead of O(bank size), with the same answers and
-the same ``QueryStats``.
+entries, those holding two or more ids.  ``update`` moves entries between
+the two as their support size crosses 1 and 2; a query reads the single
+edges straight off the index and decodes only the slow entries, so it
+costs O(distinct live edges + slow entries) instead of O(bank size), with
+the same answers and the same ``QueryStats``.
 
 One DynamicMatcher per stream; single-owner mutation; queries are
 read-only and repeatable.
@@ -88,12 +88,15 @@ def edge_from_id(ident: int) -> tuple[int, int]:
 
 
 def _as_fraction(x) -> Fraction:
-    # str() round-trip keeps decimal intent for float inputs like 0.1.
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x))
+    # str() round-trip keeps decimal intent for float inputs like 0.1.
+    try:
+        return Fraction(str(x))
+    except ValueError:  # nan, inf
+        raise ParameterError(f"need a finite number, got {x}") from None
 
 
 def weight_class(w, eps) -> int:
@@ -183,6 +186,9 @@ class DynamicMatcher:
         self.eps = eps
         self.delta = 1.0 / (20.0 * k**4 * math.log(2 * k))
         self.scheme: HashScheme = build_scheme(n, 2 * k, rng)
+        params = self.scheme.params
+        self._range_size = params.range_size
+        self._pair_count = params.family_size * params.family_size
         self.bank: dict[tuple, BankSampler] = {}
         self.n_ids = n * (n - 1) // 2
         self._bank_seed = rng.getrandbits(64)
@@ -191,9 +197,9 @@ class DynamicMatcher:
         self.last_touched = 0
         self.last_query_stats = QueryStats()
         self._rep_cache: dict[int, Fraction] = {}
-        # The query index (module docstring): sketch-less entries whose net
-        # vector is exactly {id}, counted per (id, weight class), their
-        # total, and the keys of the slow entries.
+        # The query index (module docstring): entries whose net vector is
+        # exactly {id}, counted per (id, weight class), their total, and the
+        # keys of the slow entries.
         self._singles: dict[tuple[int, int], int] = {}
         self._single_total = 0
         self._slow: set[tuple] = set()
@@ -211,30 +217,29 @@ class DynamicMatcher:
         count = 1 if upd.insert else -1
         bank = self.bank
         touched = 0
-        gained = 0  # change in the number of sketch-less entries that are exactly {ident}
+        gained = 0  # change in the number of entries that are exactly {ident}
         for i in values_u:
             for j in values_v:
                 key = (i, j, wc)
                 rec = bank.get(key)
                 if rec is None:
-                    assert i < self.scheme.params.range_size and j < self.scheme.params.range_size
+                    assert i < self._range_size and j < self._range_size
                     rec = BankSampler(derive_seed(self._bank_seed, i, j, wc))
                     bank[key] = rec
                 before = len(rec.net)
                 rec.update(ident, count)
                 touched += 1
-                if rec.sketch is None:
-                    after = len(rec.net)
-                    if before + after == 1:  # 0 -> 1 or 1 -> 0
-                        gained += after - before
-                    elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
-                        other = next(x for x in rec.net if x != ident)
-                        if after == 2:
-                            self._slow.add(key)
-                            self._count_single((other, wc), -1)
-                        else:
-                            self._slow.remove(key)
-                            self._count_single((other, wc), 1)
+                after = len(rec.net)
+                if before + after == 1:  # 0 -> 1 or 1 -> 0
+                    gained += after - before
+                elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
+                    other = next(x for x in rec.net if x != ident)
+                    if after == 2:
+                        self._slow.add(key)
+                        self._count_single((other, wc), -1)
+                    else:
+                        self._slow.remove(key)
+                        self._count_single((other, wc), 1)
         if gained:
             self._count_single((ident, wc), gained)
         self.updates_applied += 1
@@ -251,21 +256,20 @@ class DynamicMatcher:
         self._single_total += delta
 
     def _assert_budgets(self, touched: int):
-        params = self.scheme.params
-        pair_count = params.family_size * params.family_size
+        pair_count = self._pair_count
         assert touched == pair_count, f"touched {touched} samplers, expected family_size^2 = {pair_count}"
         bound = min(
             self.updates_applied * pair_count,
-            len(self.wclasses) * params.range_size**2,
+            len(self.wclasses) * self._range_size**2,
         )
         assert len(self.bank) <= bound, f"bank size {len(self.bank)} exceeds bound {bound}"
 
     def query(self) -> Matching | None:
         """Sample every bank entry once and solve exactly on the sampled edges.
 
-        Entries that are sketch-less with at most one id are read off the
-        index; only the slow entries are decoded.  Repeatable: no state is
-        consumed, so back-to-back queries agree.
+        Entries with at most one id are read off the index; only the slow
+        entries are decoded.  Repeatable: no state is consumed, so
+        back-to-back queries agree.
         """
         sampled = set(self._singles)
         stats = QueryStats(sampled=self._single_total,
@@ -292,7 +296,7 @@ class DynamicMatcher:
             else:
                 w = wc
             edges.append((u, v, w))
-        return solve_exact(sorted(edges), self.k)
+        return solve_exact(edges, self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:

@@ -16,7 +16,7 @@ about 12 s (ROADMAP item 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ParameterError
 
@@ -64,14 +64,15 @@ def is_valid_matching(m: Matching, k: int, live: Mapping[tuple[int, int], int],
     return True
 
 
-def _sorted_desc(edges: Sequence[Edge]) -> list[Edge]:
+def _sorted_desc(edges: Iterable[Edge]) -> list[Edge]:
     return sorted(edges, key=edge_key, reverse=True)
 
 
-def solve_exact(edges: Sequence[Edge], k: int) -> Matching | None:
+def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     """A maximum-weight matching of cardinality exactly k, or None.
 
-    Deterministic output; see the module docstring for the tie rule.
+    ``edges`` may come in any order.  Deterministic output; see the module
+    docstring for the tie rule.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, ModelError, ParameterError
 from .exact import Edge, Matching, edge_key, solve_exact
@@ -62,48 +62,6 @@ def window_length(k: int) -> int:
 
 def _pair_key(pu: int, pv: int) -> tuple[int, int]:
     return (pu, pv) if pu < pv else (pv, pu)
-
-
-def compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge]:
-    """Per part pair, the heaviest edge; intra-part edges dropped.
-
-    Reference implementation for tests; output in key-descending order.
-    """
-    best: dict[tuple[int, int], Edge] = {}
-    for e in edges:
-        u, v, _w = e
-        pu, pv = part_of(u), part_of(v)
-        if pu == pv:
-            continue
-        key = _pair_key(pu, pv)
-        cur = best.get(key)
-        if cur is None or edge_key(e) > edge_key(cur):
-            best[key] = e
-    return sorted(best.values(), key=edge_key, reverse=True)
-
-
-def reduced_compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge]:
-    """Monolithic reduction: compact, both-parts 8k rank filter, global top q.
-
-    Scanning the compact edges in key-descending order makes an edge's
-    per-part rank simply the number of heavier incident edges seen so far,
-    and leaves the survivors already sorted for the final selection.
-    """
-    cap = 8 * k
-    q = window_length(k)
-    counts: dict[int, int] = {}
-    out: list[Edge] = []
-    for e in compact(edges, part_of, k):
-        pu, pv = part_of(e[0]), part_of(e[1])
-        ru = counts.get(pu, 0) + 1
-        rv = counts.get(pv, 0) + 1
-        counts[pu] = ru
-        counts[pv] = rv
-        if ru <= cap and rv <= cap:
-            out.append(e)
-            if len(out) == q:
-                break
-    return out
 
 
 def _heap_charge(capacity: int) -> int:
@@ -126,8 +84,9 @@ class ReduceTask:
     """Resumable reduction over a frozen input, stepped under an op budget.
 
     ``step(budget)`` performs at most budget + O(log q) charged operations
-    and is resumable; the completed ``result`` is bit-identical to
-    ``reduced_compact`` on the same input.
+    and is resumable; the completed ``result`` is bit-identical to the
+    monolithic reference reduction in ``tests/checks.py`` on the same
+    input.
     """
 
     def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
@@ -279,7 +238,7 @@ def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
         edges.update(copy.view())
     if not edges:
         return None
-    return solve_exact(sorted(edges), k)
+    return solve_exact(edges, k)
 
 
 class InsertOnlyMatcher:

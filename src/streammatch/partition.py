@@ -62,11 +62,6 @@ def scaled_ln_ceil(c: int, k: int) -> int:
     return floor + 1
 
 
-def scaled_ln_floor(c: int, k: int) -> int:
-    """floor(c * ln k) for integers c >= 1, k >= 2."""
-    return scaled_ln_ceil(c, k) - 1
-
-
 def _part_bits(k: int) -> int:
     """The unique b >= 1 with 2^(b-1) < k/ln k <= 2^b."""
     with localcontext() as ctx:
@@ -127,11 +122,6 @@ class SchemeParams:
         """Total number of indices a key's values are drawn from."""
         return self.part_count * self.family_size * self.member_range
 
-    @property
-    def part_size_bound(self) -> int:
-        """floor(13 ln k): the per-part size threshold of the isolation analysis."""
-        return scaled_ln_floor(13, self.k)
-
 
 @dataclass(frozen=True)
 class HashScheme:
@@ -173,72 +163,3 @@ def key_indices(x: int, scheme: HashScheme) -> list[int]:
     span = params.member_range
     return [base + i * span + h(x) for i, h in enumerate(scheme.families[j])]
 
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of the isolation check for one subset S.
-
-    ``witness_indices`` holds one index per element of S (built from the
-    first injective family member of each part) whenever every part's
-    family has such a member; otherwise it is None.
-    """
-
-    part_sizes_ok: bool
-    perfect_per_part: bool
-    witness_indices: tuple[int, ...] | None
-
-
-def _first_perfect_member(family, keys) -> int | None:
-    for idx, h in enumerate(family):
-        seen = set()
-        ok = True
-        for x in keys:
-            v = h(x)
-            if v in seen:
-                ok = False
-                break
-            seen.add(v)
-        if ok:
-            return idx
-    return None
-
-
-def isolation_witness(s: set[int], scheme: HashScheme) -> WitnessReport:
-    """Check whether the scheme isolates the subset ``s`` and build the witness.
-
-    Groups s by part, reports whether all parts stay below the
-    floor(13 ln k) size threshold and whether each part's family contains
-    a member injective on its group.  When every part has one, returns the
-    per-element indices through the first such member; they are pairwise
-    distinct by construction and their preimage sets are pairwise
-    disjoint.
-    """
-    params = scheme.params
-    if len(s) != params.k:
-        raise ParameterError(f"subset has {len(s)} elements, scheme expects {params.k}")
-    groups: dict[int, list[int]] = {}
-    for x in sorted(s):
-        groups.setdefault(scheme.f(x), []).append(x)
-
-    part_sizes_ok = all(len(g) <= params.part_size_bound for g in groups.values())
-
-    chosen: dict[int, int] = {}
-    perfect = True
-    for j, keys in groups.items():
-        idx = _first_perfect_member(scheme.families[j], keys)
-        if idx is None:
-            perfect = False
-            break
-        chosen[j] = idx
-
-    if not perfect:
-        return WitnessReport(part_sizes_ok, False, None)
-
-    indices = []
-    for j, keys in groups.items():
-        eta = chosen[j]
-        base = j * params.family_size * params.member_range + eta * params.member_range
-        h = scheme.families[j][eta]
-        indices.extend(base + h(x) for x in keys)
-    assert len(set(indices)) == len(s), "witness indices must be pairwise distinct"
-    return WitnessReport(part_sizes_ok, True, tuple(indices))

@@ -9,7 +9,8 @@ Grammar (one record per line, ``#`` starts a comment):
 
 Weights are parsed as exact scaled integers: with precision p, the token
 ``1.25`` becomes 125.  Endpoints are normalized to u < v at parse time.
-A file must contain a header and at least one query record.
+A file must contain a header with 1 <= k <= n/2 and at least one query
+record.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "header fields must be integers") from None
             if n < 2 or k < 1 or precision < 0:
                 raise StreamFormatError(line_no, f"bad header values n={n}, k={k}, precision={precision}")
+            if 2 * k > n:
+                raise StreamFormatError(line_no, f"need k <= n/2, got k={k}, n={n}")
             header = (n, k, precision)
         elif tag in ("I", "D"):
             if header is None:

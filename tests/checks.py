@@ -1,7 +1,8 @@
 """Shared exhaustive checkers and reference implementations used by the tests."""
 
 import itertools
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from streammatch.dynamic import (
     BankSampler,
@@ -12,10 +13,10 @@ from streammatch.dynamic import (
     edge_from_id,
 )
 from streammatch.errors import ParameterError
-from streammatch.exact import Edge, Matching, _sorted_desc, solve_exact
-from streammatch.insertonly import task_budget, window_length
+from streammatch.exact import Edge, Matching, _sorted_desc, edge_key, solve_exact
+from streammatch.insertonly import PartFn, _pair_key, task_budget, window_length
 from streammatch.l0sampler import EMPTY, Sampled
-from streammatch.partition import HashScheme, key_indices
+from streammatch.partition import HashScheme, SchemeParams, key_indices, scaled_ln_ceil
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
 from streammatch.trials import TrialConfig, make_matcher
@@ -59,6 +60,128 @@ def collect_preimages(scheme: HashScheme) -> dict[int, set[int]]:
         for value in key_indices(x, scheme):
             preimages.setdefault(value, set()).add(x)
     return preimages
+
+
+def scaled_ln_floor(c: int, k: int) -> int:
+    """floor(c * ln k) for integers c >= 1, k >= 2."""
+    return scaled_ln_ceil(c, k) - 1
+
+
+def part_size_bound(params: SchemeParams) -> int:
+    """floor(13 ln k): the per-part size threshold of the isolation analysis."""
+    return scaled_ln_floor(13, params.k)
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    """Outcome of the isolation check for one subset S.
+
+    ``witness_indices`` holds one index per element of S (built from the
+    first injective family member of each part) whenever every part's
+    family has such a member; otherwise it is None.
+    """
+
+    part_sizes_ok: bool
+    perfect_per_part: bool
+    witness_indices: tuple[int, ...] | None
+
+
+def _first_perfect_member(family, keys) -> int | None:
+    for idx, h in enumerate(family):
+        seen = set()
+        ok = True
+        for x in keys:
+            v = h(x)
+            if v in seen:
+                ok = False
+                break
+            seen.add(v)
+        if ok:
+            return idx
+    return None
+
+
+def isolation_witness(s: set[int], scheme: HashScheme) -> WitnessReport:
+    """Check whether the scheme isolates the subset ``s`` and build the witness.
+
+    Groups s by part, reports whether all parts stay below the
+    floor(13 ln k) size threshold and whether each part's family contains
+    a member injective on its group.  When every part has one, returns the
+    per-element indices through the first such member; they are pairwise
+    distinct by construction and their preimage sets are pairwise
+    disjoint.
+    """
+    params = scheme.params
+    if len(s) != params.k:
+        raise ParameterError(f"subset has {len(s)} elements, scheme expects {params.k}")
+    groups: dict[int, list[int]] = {}
+    for x in sorted(s):
+        groups.setdefault(scheme.f(x), []).append(x)
+
+    part_sizes_ok = all(len(g) <= part_size_bound(params) for g in groups.values())
+
+    chosen: dict[int, int] = {}
+    perfect = True
+    for j, keys in groups.items():
+        idx = _first_perfect_member(scheme.families[j], keys)
+        if idx is None:
+            perfect = False
+            break
+        chosen[j] = idx
+
+    if not perfect:
+        return WitnessReport(part_sizes_ok, False, None)
+
+    indices = []
+    for j, keys in groups.items():
+        eta = chosen[j]
+        base = j * params.family_size * params.member_range + eta * params.member_range
+        h = scheme.families[j][eta]
+        indices.extend(base + h(x) for x in keys)
+    assert len(set(indices)) == len(s), "witness indices must be pairwise distinct"
+    return WitnessReport(part_sizes_ok, True, tuple(indices))
+
+
+def compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge]:
+    """Per part pair, the heaviest edge; intra-part edges dropped.
+
+    Reference implementation for tests; output in key-descending order.
+    """
+    best: dict[tuple[int, int], Edge] = {}
+    for e in edges:
+        u, v, _w = e
+        pu, pv = part_of(u), part_of(v)
+        if pu == pv:
+            continue
+        key = _pair_key(pu, pv)
+        cur = best.get(key)
+        if cur is None or edge_key(e) > edge_key(cur):
+            best[key] = e
+    return sorted(best.values(), key=edge_key, reverse=True)
+
+
+def reduced_compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge]:
+    """Monolithic reduction: compact, both-parts 8k rank filter, global top q.
+
+    Scanning the compact edges in key-descending order makes an edge's
+    per-part rank simply the number of heavier incident edges seen so far,
+    and leaves the survivors already sorted for the final selection.
+    """
+    cap = 8 * k
+    q = window_length(k)
+    counts: dict[int, int] = {}
+    out: list[Edge] = []
+    for e in compact(edges, part_of, k):
+        pu, pv = part_of(e[0]), part_of(e[1])
+        ru = counts.get(pu, 0) + 1
+        rv = counts.get(pv, 0) + 1
+        counts[pu] = ru
+        counts[pv] = rv
+        if ru <= cap and rv <= cap:
+            out.append(e)
+            if len(out) == q:
+                break
+    return out
 
 
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:

@@ -9,20 +9,22 @@ import math
 import random
 import time
 
-from checks import enumerate_oracle, interval_violations, max_nice_matching, measure
+from checks import (
+    compact,
+    enumerate_oracle,
+    interval_violations,
+    isolation_witness,
+    max_nice_matching,
+    measure,
+    reduced_compact,
+)
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate
 from streammatch.exact import solve_exact
 from streammatch.field_hash import universal_draw
-from streammatch.insertonly import (
-    insert_preprocess,
-    reduced_compact,
-    compact,
-    task_budget,
-    window_length,
-)
+from streammatch.insertonly import insert_preprocess, task_budget, window_length
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
-from streammatch.partition import build_scheme, isolation_witness
+from streammatch.partition import build_scheme
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
 from streammatch.trials import TrialConfig, run_trials

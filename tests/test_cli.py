@@ -124,8 +124,9 @@ def test_run_approx_model_huge_weight(tmp_path, capsys):
     ("H 4 1 0\nI 0 1 0\nQ\n", "dynamic-approx", "error: line 2: weight classes need w > 0, got 0"),
     ("H 4 1 0\n# note\n\nI 0 1 5\nD 0 1 5\nD 0 1 5\nQ\n", "dynamic",
      "error: line 6: deletion of dead edge (0, 1)"),
+    ("H 4 3 0\nI 0 1 5\nQ\n", "dynamic", "error: line 1: need k <= n/2, got k=3, n=4"),
 ], ids=["dead-delete-dynamic", "duplicate-dynamic", "duplicate-insert", "drift-dynamic", "drift-insert",
-        "zero-weight-approx", "dead-delete-after-comments"])
+        "zero-weight-approx", "dead-delete-after-comments", "k-above-half-n"])
 def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     path = tmp_path / "ill.txt"
     path.write_text(text)
@@ -133,6 +134,17 @@ def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     captured = capsys.readouterr()
     assert "query" not in captured.out
     assert message in captured.err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_run_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+    code = main(["run", "--model", "dynamic-approx", f"--epsilon={epsilon}", "--seed", "1", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "query" not in captured.out
+    assert f"error: need a finite number, got {epsilon}" in captured.err
 
 
 def test_run_exit_code_on_one_sided_violation(tmp_path, capsys, monkeypatch):

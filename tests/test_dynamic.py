@@ -79,6 +79,9 @@ def test_preprocess_examples():
     assert math.isclose(DynamicMatcher(4, 1, random.Random(0)).delta, 1 / (20 * math.log(2)))
     with pytest.raises(ParameterError):
         DynamicMatcher(4, 3, random.Random(0))
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError):
+            DynamicMatcher(16, 2, random.Random(0), mode="approx", eps=eps)
 
 
 def test_preprocess_deterministic():
@@ -136,10 +139,11 @@ def test_query_repeatable():
 
 
 def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
-    # DynamicMatcher.query reads a sketch-less entry with at most one id off
-    # its index without decoding it; these are the outcomes the full
-    # construction gives there.  The sketch is live from the start, and the
-    # lazily materialized copy of the same net vector must decode alike.
+    # DynamicMatcher.query reads an entry with at most one id off its index
+    # without decoding it, with or without a sketch; these are the outcomes
+    # the full construction gives there.  The sketch is live from the start,
+    # and the lazily materialized copy of the same net vector must decode
+    # alike.
     rng = random.Random(99)
     for trial in range(200):
         rec = BankSampler(seed=rng.getrandbits(63))
@@ -161,6 +165,12 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
             assert full is EMPTY
         elif len(net) == 1:
             assert full == Sampled(next(iter(net)))
+
+
+def _assert_slow_is_multi_id(dm):
+    # One index rule: an entry is slow exactly when it holds two or more ids,
+    # whether or not it has a sketch.
+    assert dm._slow == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):
@@ -202,6 +212,7 @@ def test_indexed_query_matches_full_sweep(mode):
                 answer, stats = sweep_query(dm)
                 assert dm.query() == answer, (n, step)
                 assert dm.last_query_stats == stats, (n, step)
+                _assert_slow_is_multi_id(dm)
                 checks += 1
         materialized += sum(1 for rec in dm.bank.values() if rec.sketch is not None)
     assert checks >= 60
@@ -211,7 +222,8 @@ def test_indexed_query_matches_full_sweep(mode):
 def test_index_follows_entries_across_two_ids():
     # Edges (0, 1) and (0, x) share every entry (i, j) with i a value of
     # vertex 0 and j a value of both 1 and x, so those entries cross between
-    # one and two ids, with and without a sketch.
+    # one and two ids, with and without a sketch.  A sketched entry leaves the
+    # slow set once it holds one id or none, and is then read off the index.
     dm = DynamicMatcher(600, 1, random.Random(1))
     values_1 = set(key_indices(1, dm.scheme))
     x = next(x for x in range(2, 600) if values_1 & set(key_indices(x, dm.scheme)))
@@ -220,16 +232,21 @@ def test_index_follows_entries_across_two_ids():
         [(x, True), (x, False)],  # 1 -> 2 -> 1, back to (0, 1)
         [(x, True), (1, False)],  # 1 -> 2 -> 1, now (0, x)
         [(1, True)],  # 1 -> 2; this query materializes the shared entries
-        [(1, False), (x, False)],  # sketched entries stay slow down to 0 ids
+        [(1, False)],  # sketched 2 -> 1: answered from the index, (0, x)
+        [(x, False)],  # sketched 1 -> 0
         [(x, False)],  # ill-formed: a dead edge, net count -1
     ]
+    sketched_singles = 0
     for batch in batches:
         for v, insert in batch:
             dm.update(EdgeUpdate(0, v, 3, insert))
         answer, stats = sweep_query(dm)
         assert dm.query() == answer
         assert dm.last_query_stats == stats
+        _assert_slow_is_multi_id(dm)
+        sketched_singles += sum(1 for rec in dm.bank.values() if rec.sketch is not None and len(rec.net) == 1)
     assert any(rec.sketch is not None for rec in dm.bank.values())
+    assert sketched_singles >= 1
 
 
 def test_planted_instance_weight_23():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from checks import enumerate_oracle, max_nice_matching
+from checks import compact, enumerate_oracle, max_nice_matching, reduced_compact
 
 from streammatch.errors import ModelError, ParameterError
 from streammatch.exact import solve_exact
@@ -10,12 +10,10 @@ from streammatch.insertonly import (
     CopyState,
     InsertOnlyMatcher,
     ReduceTask,
-    compact,
     copies_for,
     insert_preprocess,
     insert_query,
     insert_update,
-    reduced_compact,
     task_budget,
     task_worst_ops,
     window_length,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from checks import collect_preimages
+from checks import collect_preimages, isolation_witness
 
 from streammatch.errors import DomainError, ParameterError
 from streammatch.field_hash import KWiseHash, UniversalHash
@@ -12,7 +12,6 @@ from streammatch.partition import (
     build_scheme,
     key_indices,
     scaled_ln_ceil,
-    isolation_witness,
 )
 
 

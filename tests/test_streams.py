@@ -51,6 +51,7 @@ def test_parse_comments_and_blanks():
         "H 4 1 0\nI 0 1\nQ\n",             # missing field
         "H 4 1 0\nX 0 1 5\nQ\n",           # unknown tag
         "H 4 1 0\nI 0 1 5\n",              # no query record
+        "H 4 3 0\nQ\n",                    # k above n/2
         "",                                # missing header
     ],
 )
