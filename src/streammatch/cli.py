@@ -6,7 +6,9 @@
                        --seed S [--model M] [--infeasible] [--out FILE]
     streammatch verify FILE
 
-``run`` builds its matcher with ``trials.make_matcher`` and drives it with
+``run`` takes ``--epsilon`` only with ``dynamic-approx`` and ``--delta``
+only with ``insert``; an option the model does not use exits 2.  It builds
+its matcher with ``trials.make_matcher`` and drives it with
 ``trials.replay``, which also replays the true graph: an ill-formed
 stream (a duplicate insertion, a deletion of a dead edge, a weight that
 changes) or a record the matcher rejects (a zero weight under
@@ -24,7 +26,7 @@ import argparse
 import sys
 from decimal import Decimal
 
-from .errors import ModelError, RecordError, StreamMatchError, StreamFormatError
+from .errors import ModelError, ParameterError, RecordError, StreamMatchError, StreamFormatError
 from .exact import is_valid_matching, solve_exact
 from .seeds import spawn_rng
 from .streams import GraphReplay, format_weight, gen_planted, parse_stream, record_line, render_stream
@@ -43,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay a stream file and answer its queries")
     run.add_argument("--model", required=True, choices=MODELS)
     run.add_argument("--k", type=int, default=None, help="override the header parameter")
-    run.add_argument("--epsilon", type=float, default=0.1)
-    run.add_argument("--delta", type=float, default=1 / 16)
+    run.add_argument("--epsilon", type=float, default=None,
+                     help="dynamic-approx only (default 0.1)")
+    run.add_argument("--delta", type=float, default=None, help="insert only (default 1/16)")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--stats", action="store_true")
     run.add_argument("file")
@@ -82,12 +85,18 @@ def _format_answer(answer, precision: int) -> str:
 
 
 def _cmd_run(args) -> int:
+    for option, value, model in (("--epsilon", args.epsilon, "dynamic-approx"),
+                                 ("--delta", args.delta, "insert")):
+        if value is not None and args.model != model:
+            raise ParameterError(f"{option} applies only to --model {model}")
+    eps = 0.1 if args.epsilon is None else args.epsilon
+    delta = 1 / 16 if args.delta is None else args.delta
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     sf = parse_stream(text, insert_only=args.model == "insert")
     k = args.k if args.k is not None else sf.k
     rng = spawn_rng(args.seed, "cli-run", args.model, k)
-    matcher = make_matcher(args.model, sf.n, k, rng, args.epsilon, args.delta)
+    matcher = make_matcher(args.model, sf.n, k, rng, eps, delta)
 
     truth = GraphReplay()
     violated = False

@@ -15,29 +15,30 @@ with (1+eps)^(i-1) < w <= (1+eps)^i and reports the class representative
 (1+eps)^i as the edge weight, which is what bounds the weight loss of the
 returned matching by a factor (1-eps).
 
-Bank samplers use a lazily materialized representation: each entry keeps
-the exact net update vector (id -> net count) and builds its real
-``L0Sampler`` only when its state is 2-or-more-sparse at query time.  The
-outputs are identical to running the full construction from the start --
-the zero vector is EMPTY by linearity, a one-sparse vector always decodes
-at repetition 0 / level 0, and everything else runs the materialized
-sketch, whose randomness comes from a per-key derived seed and therefore
-does not depend on creation order.  The abstract space accounting in the
-harness still charges the full construction's counters.
+A bank entry is its net update vector (id -> net count) and its seed,
+derived per key so that it does not depend on creation order.  The
+entry's ``L0Sampler`` is built from (seed, net vector) only to decode the
+entry, and dropped after the decode.  The outcome is the one the full
+construction, updated from the start, gives: the sketch is linear and its
+randomness comes only from the seed, so the zero vector is EMPTY, a
+one-sparse vector decodes at repetition 0 / level 0, and any other vector
+decodes as its sketch does.  The abstract space accounting in the harness
+still charges the full construction's counters.
 
 Because the outcome of an entry with at most one id is known without
-decoding it (with or without a sketch: the sketch is linear and decodes
-0- and 1-sparse vectors exactly), the matcher keeps an incremental index
-instead of sweeping the bank at each query: the number of entries whose
-net vector is exactly {id}, per (id, weight class), and the set of "slow"
-entries, those holding two or more ids.  ``update`` moves entries between
-the two as their support size crosses 1 and 2; a query reads the single
-edges straight off the index and decodes only the slow entries, so it
-costs O(distinct live edges + slow entries) instead of O(bank size), with
-the same answers and the same ``QueryStats``.
+decoding it, the matcher keeps an incremental index instead of sweeping
+the bank at each query: the number of entries whose net vector is exactly
+{id}, per (id, weight class), and the "slow" entries, those holding two or
+more ids, each with its decoded outcome or None.  ``update`` moves entries
+between the two as their support size crosses 1 and 2, and resets a slow
+entry's outcome to None whenever it touches the entry.  A query reads the
+single edges straight off the index and decodes only the slow entries
+whose outcome is None, keeping each outcome until the entry is next
+touched; it costs O(distinct live edges + slow entries) instead of
+O(bank size), with the same answers and the same ``QueryStats``.
 
-One DynamicMatcher per stream; single-owner mutation; queries are
-read-only and repeatable.
+One DynamicMatcher per stream; single-owner mutation (a query writes
+only the outcomes it decodes); queries are repeatable.
 """
 
 from __future__ import annotations
@@ -126,37 +127,25 @@ def class_representative(i: int, eps) -> Fraction:
 
 
 class BankSampler:
-    """One bank entry: exact net update vector plus an optional live sketch."""
+    """One bank entry: its exact net update vector and its seed."""
 
-    __slots__ = ("net", "sketch", "seed")
+    __slots__ = ("net", "seed")
 
     def __init__(self, seed: int):
         self.net: dict[int, int] = {}
-        self.sketch: L0Sampler | None = None
         self.seed = seed
 
-    def update(self, ident: int, count: int):
-        c = self.net.get(ident, 0) + count
-        if c:
-            self.net[ident] = c
-        else:
-            self.net.pop(ident, None)
-        if self.sketch is not None:
-            self.sketch.update(ident, count)
-
     def query(self, n_ids: int, delta: float):
-        if self.sketch is None:
-            self._materialize(n_ids, delta)
-        return self.sketch.query()
+        return self._materialize(n_ids, delta).query()
 
-    def _materialize(self, n_ids: int, delta: float):
+    def _materialize(self, n_ids: int, delta: float) -> L0Sampler:
         sketch = L0Sampler(n_ids, delta, random.Random(self.seed))
         for ident in sorted(self.net):
             count = self.net[ident]
             step = 1 if count > 0 else -1
             for _ in range(abs(count)):
                 sketch.update(ident, step)
-        self.sketch = sketch
+        return sketch
 
 
 @dataclass
@@ -198,11 +187,10 @@ class DynamicMatcher:
         self.last_query_stats = QueryStats()
         self._rep_cache: dict[int, Fraction] = {}
         # The query index (module docstring): entries whose net vector is
-        # exactly {id}, counted per (id, weight class), their total, and the
-        # keys of the slow entries.
+        # exactly {id}, counted per (id, weight class), and the slow entries,
+        # key -> decoded outcome, or None if not decoded since the last touch.
         self._singles: dict[tuple[int, int], int] = {}
-        self._single_total = 0
-        self._slow: set[tuple] = set()
+        self._slow: dict[tuple, object] = {}
 
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
@@ -216,7 +204,7 @@ class DynamicMatcher:
         ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
         bank = self.bank
-        touched = 0
+        slow = self._slow
         gained = 0  # change in the number of entries that are exactly {ident}
         for i in values_u:
             for j in values_v:
@@ -226,24 +214,28 @@ class DynamicMatcher:
                     assert i < self._range_size and j < self._range_size
                     rec = BankSampler(derive_seed(self._bank_seed, i, j, wc))
                     bank[key] = rec
-                before = len(rec.net)
-                rec.update(ident, count)
-                touched += 1
-                after = len(rec.net)
+                net = rec.net
+                before = len(net)
+                c = net.get(ident, 0) + count
+                if c:
+                    net[ident] = c
+                else:
+                    del net[ident]
+                after = len(net)
                 if before + after == 1:  # 0 -> 1 or 1 -> 0
                     gained += after - before
                 elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
-                    other = next(x for x in rec.net if x != ident)
-                    if after == 2:
-                        self._slow.add(key)
-                        self._count_single((other, wc), -1)
-                    else:
-                        self._slow.remove(key)
-                        self._count_single((other, wc), 1)
+                    other = next(x for x in net if x != ident)
+                    self._count_single((other, wc), 1 if after == 1 else -1)
+                if after >= 2:
+                    slow[key] = None  # changed, so decoded again at the next query
+                elif before >= 2:
+                    del slow[key]
         if gained:
             self._count_single((ident, wc), gained)
         self.updates_applied += 1
         self.wclasses.add(wc)
+        touched = len(values_u) * len(values_v)
         self.last_touched = touched
         self._assert_budgets(touched)
 
@@ -253,7 +245,6 @@ class DynamicMatcher:
             self._singles[single] = c
         else:
             del self._singles[single]
-        self._single_total += delta
 
     def _assert_budgets(self, touched: int):
         pair_count = self._pair_count
@@ -267,15 +258,17 @@ class DynamicMatcher:
     def query(self) -> Matching | None:
         """Sample every bank entry once and solve exactly on the sampled edges.
 
-        Entries with at most one id are read off the index; only the slow
-        entries are decoded.  Repeatable: no state is consumed, so
+        Entries with at most one id are read off the index; a slow entry is
+        decoded only if it changed since its last decode.  Repeatable:
         back-to-back queries agree.
         """
         sampled = set(self._singles)
-        stats = QueryStats(sampled=self._single_total,
-                           empty=len(self.bank) - self._single_total - len(self._slow))
-        for key in self._slow:
-            res = self.bank[key].query(self.n_ids, self.delta)
+        singles = sum(self._singles.values())
+        stats = QueryStats(sampled=singles, empty=len(self.bank) - singles - len(self._slow))
+        slow = self._slow
+        for key, res in slow.items():
+            if res is None:
+                res = slow[key] = self.bank[key].query(self.n_ids, self.delta)
             if isinstance(res, Sampled):
                 stats.sampled += 1
                 sampled.add((res.ident, key[2]))

@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, ModelError, ParameterError
 from .exact import Edge, Matching, edge_key, solve_exact
 from .field_hash import UniversalHash, universal_draw
+from .l0sampler import repetitions_for
 
 PartFn = Callable[[int], int]
 
@@ -204,24 +205,16 @@ class CopyState:
         return list(self.reduced_prev) + self.prev_window + self.cur_window
 
 
-def copies_for(delta: float) -> int:
-    return max(1, math.ceil(math.log2(1.0 / delta)))
-
-
 def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[CopyState]:
     """ceil(log2(1/delta)) independent copies, each with its own f: V -> [4k^2]."""
     if k < 1 or 2 * k > n:
         raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    return [CopyState(n, k, universal_draw(n, 4 * k * k, rng)) for _ in range(copies_for(delta))]
+    return [CopyState(n, k, universal_draw(n, 4 * k * k, rng)) for _ in range(repetitions_for(delta))]
 
 
-def insert_update(copies: Sequence[CopyState], edge):
-    if getattr(edge, "insert", True) is False:
-        raise ModelError("the insert-only pipeline cannot process deletions")
-    if hasattr(edge, "u"):
-        edge = (edge.u, edge.v, edge.w)
+def insert_update(copies: Sequence[CopyState], edge: Edge):
     u, v, w = edge
     if not 0 <= u < v:
         raise DomainError(f"edge endpoints must satisfy 0 <= u < v, got ({u}, {v})")
@@ -251,7 +244,9 @@ class InsertOnlyMatcher:
         self.copies = insert_preprocess(n, k, delta, rng)
 
     def update(self, upd):
-        insert_update(self.copies, upd)
+        if not upd.insert:
+            raise ModelError("the insert-only pipeline cannot process deletions")
+        insert_update(self.copies, (upd.u, upd.v, upd.w))
 
     def query(self) -> Matching | None:
         return insert_query(self.copies, self.k)

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from streammatch.dynamic import (
-    BankSampler,
     EdgeUpdate,
     QueryStats,
     abstract_sampler_words,
@@ -188,24 +187,20 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
     """Reference ``DynamicMatcher.query``: decode every bank entry once.
 
     A zero vector is EMPTY and a one-sparse vector decodes as its id (the
-    full construction's exact outcomes); a sketched entry queries its
-    sketch; any other entry decodes a freshly materialized copy, so the
-    matcher is left untouched.  Returns the answer and the query stats.
+    full construction's exact outcomes); any other entry decodes a freshly
+    built sketch of its net vector, so the matcher is left untouched.
+    Returns the answer and the query stats.
     """
     stats = QueryStats()
     edges: set = set()
     reps: dict = {}
     for (_i, _j, wc), rec in matcher.bank.items():
-        if rec.sketch is not None:
-            res = rec.sketch.query()
-        elif not rec.net:
+        if not rec.net:
             res = EMPTY
         elif len(rec.net) == 1:
             res = Sampled(next(iter(rec.net)))
         else:
-            copy = BankSampler(rec.seed)
-            copy.net = dict(rec.net)
-            res = copy.query(matcher.n_ids, matcher.delta)
+            res = rec.query(matcher.n_ids, matcher.delta)
         if isinstance(res, Sampled):
             stats.sampled += 1
             u, v = edge_from_id(res.ident)

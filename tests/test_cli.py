@@ -1,9 +1,18 @@
+import contextlib
+import io
+import os
+import re
+import tempfile
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streammatch import cli
 from streammatch.cli import main
 from streammatch.exact import Matching
-from streammatch.trials import make_matcher
+from streammatch.trials import MODELS, make_matcher
 
 
 def _gen_file(tmp_path, args):
@@ -145,6 +154,111 @@ def test_run_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     captured = capsys.readouterr()
     assert "query" not in captured.out
     assert f"error: need a finite number, got {epsilon}" in captured.err
+
+
+@pytest.mark.parametrize("model, option", [
+    ("dynamic", "--epsilon=0.5"), ("insert", "--epsilon=0.5"),
+    ("dynamic", "--delta=0.5"), ("dynamic-approx", "--delta=0.5"),
+])
+def test_run_rejects_options_the_model_does_not_use(tmp_path, capsys, model, option):
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+    assert main(["run", "--model", model, option, "--seed", "1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "query" not in captured.out
+    assert f"error: {option.split('=')[0]} applies only to --model " in captured.err
+
+
+_WEIGHTS = ("1", "3", "7", "3", "2.5", "0", "1" + "0" * 400)
+_JUNK = ("Z 1 2 3", "I 0 1", "I 0 x 1", "I 1 1 1", "I 0 99 1", "D 0 1 3", "D 0 1 5", "I 0 1 3",
+         "Q 1", "I 0 1 -2", "I 0 1 1e3", "H 4 1 0", "# note", "")
+_OPTIONS = {"dynamic": ("--k", ("1", "3", "0")),
+            "dynamic-approx": ("--epsilon", ("0.1", "0.5", "0", "2", "nan", "inf")),
+            "insert": ("--delta", ("0.0625", "0.5", "0", "nan"))}
+
+
+@st.composite
+def _run_inputs(draw):
+    """A stream text and the options of one ``run``: two times in three a
+    well-formed stream, else one with ill-formed lines and options mixed in."""
+    model = draw(st.sampled_from(MODELS))
+    clean = draw(st.integers(0, 2)) > 0
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    precision = draw(st.integers(0, 2))
+    header = "fit" if clean else draw(st.sampled_from(["fit", "raw", "short"]))
+    if header == "fit":
+        k = min(k, n // 2)
+    lines = [f"H {n} {k}" if header == "short" else f"H {n} {k} {precision}"]
+    live: dict = {}
+    weights: dict = {}  # one weight per edge: a weight change is tested elsewhere
+    for _ in range(draw(st.integers(0, 15))):
+        tag = draw(st.sampled_from("IIIDDQQ" if clean else "IIIDDQQX"))
+        if tag == "Q":
+            lines.append("Q")
+        elif tag == "X":
+            lines.append(draw(st.sampled_from(_JUNK)))
+        else:
+            u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            if clean:  # insert a dead edge, delete a live one
+                tag = "D" if (u, v) in live else "I"
+                if tag == "D" and model == "insert":
+                    continue
+            w = weights.setdefault((u, v), draw(st.sampled_from(
+                [w for w in _WEIGHTS if not clean or "." not in w or precision])))
+            lines.append(f"{tag} {v} {u} {w}")
+            if tag == "I":
+                live[(u, v)] = w
+            else:
+                live.pop((u, v), None)
+    if clean or draw(st.booleans()):
+        lines.append("Q")
+    options = ["--model", model, "--seed", str(draw(st.integers(0, 9)))]
+    option, values = _OPTIONS[model]
+    value = draw(st.none() | st.sampled_from(values))
+    if value is not None:
+        options.append(f"{option}={value}")
+    if not clean:
+        options += draw(st.sampled_from([[], [], [], ["--epsilon=0.1"], ["--delta=0.5"]]))
+    return "\n".join(lines) + "\n", options
+
+
+@settings(max_examples=50, deadline=None)
+@given(_run_inputs())
+def test_run_input_contract(case):
+    # Every input ends in exit 0 or 2, never a traceback; on exit 0 every
+    # answer is a set of vertex-disjoint edges live at its query.
+    text, options = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", *options, path])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        return
+    answers = iter(out.getvalue().splitlines())
+    live: dict = {}
+    for fields in (line.split() for line in text.splitlines()):
+        if fields[:1] in (["I"], ["D"]):
+            u, v = sorted(map(int, fields[1:3]))
+            if fields[0] == "I":
+                live[(u, v)] = Fraction(fields[3])
+            else:
+                del live[(u, v)]
+        elif fields == ["Q"]:
+            answer = next(answers)
+            edges = [(int(u), int(v), Fraction(w)) for u, v, w in re.findall(r"\((\d+),(\d+),([^)]+)\)", answer)]
+            assert answer.endswith("no k-matching") or edges, answer
+            for u, v, w in edges:
+                assert (u, v) in live, answer
+                assert "dynamic-approx" in options or w == live[(u, v)], answer
+            ends = [x for u, v, _w in edges for x in (u, v)]
+            assert len(ends) == len(set(ends)), answer
+    assert next(answers, None) is None
 
 
 def test_run_exit_code_on_one_sided_violation(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.l0sampler import EMPTY, Sampled
+from streammatch.l0sampler import EMPTY, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.streams import GraphReplay, gen_planted
 
@@ -140,37 +140,39 @@ def test_query_repeatable():
 
 def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
     # DynamicMatcher.query reads an entry with at most one id off its index
-    # without decoding it, with or without a sketch; these are the outcomes
-    # the full construction gives there.  The sketch is live from the start,
-    # and the lazily materialized copy of the same net vector must decode
-    # alike.
+    # without decoding it; these are the outcomes the full construction, live
+    # from the start, gives there.  The sketch an entry builds from its seed
+    # and net vector must decode alike.
     rng = random.Random(99)
+    n_ids = 120
     for trial in range(200):
-        rec = BankSampler(seed=rng.getrandbits(63))
-        n_ids = 120
-        rec._materialize(n_ids, 0.05)
-        net: dict[int, int] = {}
+        seed = rng.getrandbits(63)
+        full = L0Sampler(n_ids, 0.05, random.Random(seed))
+        rec = BankSampler(seed)
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)
             count = rng.choice((1, -1))
-            rec.update(ident, count)
-            net[ident] = net.get(ident, 0) + count
-        net = {i: c for i, c in net.items() if c}
-        full = rec.query(n_ids, 0.05)
-        lazy = BankSampler(seed=rec.seed)
-        lazy.net = dict(rec.net)
-        lazy._materialize(n_ids, 0.05)
-        assert lazy.sketch.query() == full
-        if not net:
-            assert full is EMPTY
-        elif len(net) == 1:
-            assert full == Sampled(next(iter(net)))
+            full.update(ident, count)
+            c = rec.net.get(ident, 0) + count
+            if c:
+                rec.net[ident] = c
+            else:
+                del rec.net[ident]
+        outcome = full.query()
+        assert rec.query(n_ids, 0.05) == outcome
+        if not rec.net:
+            assert outcome is EMPTY
+        elif len(rec.net) == 1:
+            assert outcome == Sampled(next(iter(rec.net)))
 
 
-def _assert_slow_is_multi_id(dm):
+def _assert_index(dm):
     # One index rule: an entry is slow exactly when it holds two or more ids,
-    # whether or not it has a sketch.
-    assert dm._slow == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
+    # and a slow entry's kept outcome is the one a fresh decode gives.
+    assert dm._slow.keys() == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
+    for key, outcome in dm._slow.items():
+        if outcome is not None:
+            assert outcome == dm.bank[key].query(dm.n_ids, dm.delta), key
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):
@@ -201,9 +203,9 @@ def _churn_stream(n: int, length: int, rng: random.Random):
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_indexed_query_matches_full_sweep(mode):
     # At these sizes some bank entries become two-or-more-sparse, so the
-    # index moves entries in and out of its slow set and queries materialize.
+    # index moves entries in and out of its slow set and queries decode them.
     eps = Fraction(1, 2) if mode == "approx" else None
-    checks = materialized = 0
+    checks = decoded = 0
     for n in (600, 1500, 3000):
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode=mode, eps=eps)
         for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
@@ -212,18 +214,18 @@ def test_indexed_query_matches_full_sweep(mode):
                 answer, stats = sweep_query(dm)
                 assert dm.query() == answer, (n, step)
                 assert dm.last_query_stats == stats, (n, step)
-                _assert_slow_is_multi_id(dm)
+                _assert_index(dm)
+                decoded += len(dm._slow)
                 checks += 1
-        materialized += sum(1 for rec in dm.bank.values() if rec.sketch is not None)
     assert checks >= 60
-    assert materialized >= 1
+    assert decoded >= 1
 
 
 def test_index_follows_entries_across_two_ids():
     # Edges (0, 1) and (0, x) share every entry (i, j) with i a value of
     # vertex 0 and j a value of both 1 and x, so those entries cross between
-    # one and two ids, with and without a sketch.  A sketched entry leaves the
-    # slow set once it holds one id or none, and is then read off the index.
+    # one and two ids.  An entry that falls back to one id or none leaves the
+    # slow set and is read off the index.
     dm = DynamicMatcher(600, 1, random.Random(1))
     values_1 = set(key_indices(1, dm.scheme))
     x = next(x for x in range(2, 600) if values_1 & set(key_indices(x, dm.scheme)))
@@ -231,22 +233,62 @@ def test_index_follows_entries_across_two_ids():
         [(1, True)],
         [(x, True), (x, False)],  # 1 -> 2 -> 1, back to (0, 1)
         [(x, True), (1, False)],  # 1 -> 2 -> 1, now (0, x)
-        [(1, True)],  # 1 -> 2; this query materializes the shared entries
-        [(1, False)],  # sketched 2 -> 1: answered from the index, (0, x)
-        [(x, False)],  # sketched 1 -> 0
+        [(1, True)],  # 1 -> 2; this query decodes the shared entries
+        [(1, False)],  # decoded 2 -> 1: answered from the index, (0, x)
+        [(x, False)],  # 1 -> 0
         [(x, False)],  # ill-formed: a dead edge, net count -1
     ]
-    sketched_singles = 0
+    decoded = 0
     for batch in batches:
         for v, insert in batch:
             dm.update(EdgeUpdate(0, v, 3, insert))
         answer, stats = sweep_query(dm)
         assert dm.query() == answer
         assert dm.last_query_stats == stats
-        _assert_slow_is_multi_id(dm)
-        sketched_singles += sum(1 for rec in dm.bank.values() if rec.sketch is not None and len(rec.net) == 1)
-    assert any(rec.sketch is not None for rec in dm.bank.values())
-    assert sketched_singles >= 1
+        _assert_index(dm)
+        decoded += len(dm._slow)
+    assert decoded >= 1
+
+
+def test_changed_entry_is_decoded_again():
+    # A kept outcome must not outlive the net vector it was decoded from:
+    # after the sampled id of a three-id entry is deleted, a stale outcome
+    # would still return that dead edge.
+    dm = DynamicMatcher(600, 1, random.Random(1))
+    values_0 = key_indices(0, dm.scheme)
+    by_value: dict[int, list[int]] = {}
+    for v in range(1, 600):
+        for j in key_indices(v, dm.scheme):
+            by_value.setdefault(j, []).append(v)
+    j, (a, b, c) = next((j, vs[:3]) for j, vs in sorted(by_value.items()) if len(vs) >= 3)
+    key = (values_0[0], j, 3)
+
+    def check():
+        answer, stats = sweep_query(dm)
+        assert dm.query() == answer
+        assert dm.last_query_stats == stats
+        _assert_index(dm)
+
+    for v in (a, b, c):
+        dm.update(EdgeUpdate(0, v, 3, True))
+    assert len(dm.bank[key].net) == 3
+    check()
+    first = dm._slow[key]
+    assert isinstance(first, Sampled)
+    dead = edge_from_id(first.ident)
+    dm.update(EdgeUpdate(*dead, 3, False))  # 3 -> 2: the sampled id leaves
+    assert dm._slow[key] is None
+    check()
+    assert dead not in {(u, v) for u, v, _w in (dm.query().edges)}
+    assert dm._slow[key] != first
+    live = edge_from_id(next(iter(dm.bank[key].net)))
+    dm.update(EdgeUpdate(*live, 3, True))  # a duplicate insert: a count changes at two ids
+    assert len(dm.bank[key].net) == 2 and dm._slow[key] is None
+    check()
+    dm.update(EdgeUpdate(*live, 3, False))
+    dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
+    assert dm._slow[key] is None
+    check()
 
 
 def test_planted_instance_weight_23():

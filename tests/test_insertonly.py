@@ -10,7 +10,6 @@ from streammatch.insertonly import (
     CopyState,
     InsertOnlyMatcher,
     ReduceTask,
-    copies_for,
     insert_preprocess,
     insert_query,
     insert_update,
@@ -20,6 +19,7 @@ from streammatch.insertonly import (
 )
 from streammatch.dynamic import EdgeUpdate
 from streammatch.field_hash import universal_draw
+from streammatch.l0sampler import repetitions_for
 from streammatch.seeds import spawn_rng
 
 
@@ -29,8 +29,10 @@ def test_window_length():
 
 
 def test_copies_for():
-    assert copies_for(0.5) == 1
-    assert copies_for(1 / 16) == 4
+    # insert_preprocess draws ceil(log2(1/delta)) copies, the l0-sampler repetition rule
+    for delta, copies in ((0.5, 1), (1 / 16, 4)):
+        assert repetitions_for(delta) == copies
+        assert len(insert_preprocess(16, 2, delta, random.Random(1))) == copies
 
 
 def _mod_parts(r):
@@ -165,9 +167,6 @@ def test_preprocess_validation():
 
 
 def test_insert_update_rejects_deletions():
-    copies = insert_preprocess(16, 2, 0.5, random.Random(1))
-    with pytest.raises(ModelError):
-        insert_update(copies, EdgeUpdate(0, 1, 3, False))
     matcher = InsertOnlyMatcher(16, 2, 0.5, random.Random(1))
     with pytest.raises(ModelError):
         matcher.update(EdgeUpdate(0, 1, 3, False))
