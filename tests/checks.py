@@ -1,6 +1,7 @@
 """Shared exhaustive checkers and reference implementations used by the tests."""
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -215,7 +216,7 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
             stats.empty += 1
         else:
             stats.failed += 1
-    return (solve_exact(sorted(edges), matcher.k) if edges else None), stats
+    return (solve_exact(edges, matcher.k) if edges else None), stats
 
 
 def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:
@@ -245,6 +246,36 @@ def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:
             best = combo
             best_w = w
     return Matching(best) if best is not None else None
+
+
+def hub_graph(k, spokes=180, seed=0):
+    """k-1 hubs with ``spokes`` spokes each and k light disjoint edges (the
+    shape of the benchmark's hub-query workload).
+
+    Hub h's spokes weigh 100+h, 102+h, ... and its top spoke, to a private
+    leaf, weighs 100+2*spokes+h, above them all.  Returns the shuffled edges
+    and the optimum: the top spokes and the heaviest light edge.
+    """
+    rng = random.Random(seed)
+    n = (k - 1) * (spokes + 1) + 2 * k
+    labels = iter(rng.sample(range(n), n))
+    edges, planted = [], []
+    for h in range(k - 1):
+        hub = next(labels)
+        weights = [100 + 2 * spokes + h] + [100 + h + 2 * i for i in range(spokes - 1)]
+        for idx, w in enumerate(weights):
+            leaf = next(labels)
+            edges.append((min(hub, leaf), max(hub, leaf), w))
+            if idx == 0:
+                planted.append(edges[-1])
+    light = []
+    for w in rng.sample(range(1, 10), k):
+        a, b = next(labels), next(labels)
+        light.append((min(a, b), max(a, b), w))
+    edges += light
+    planted.append(max(light, key=edge_key))
+    rng.shuffle(edges)
+    return edges, Matching(tuple(sorted(planted, key=edge_key, reverse=True)))
 
 
 def max_nice_matching(edges: Sequence[Edge], part_of: Callable[[int], int], k: int) -> Matching | None:

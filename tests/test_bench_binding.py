@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from streammatch.dynamic import DynamicMatcher, EdgeUpdate
+from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_id
 from streammatch.partition import key_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,6 +52,21 @@ def test_dynamic_pass_decodes_a_two_id_entry():
     assert trace["l0sampler.materialize"]["calls"] >= 1
     assert trace["dynamic.query"]["calls"] == 1
     assert trace["counters"]["touches"] == 2 * dm.last_touched
+
+
+def test_solver_input_is_every_live_edge():
+    # At k=2 the kernel inside solve_exact keeps 3 of the hub's 6 spokes; the
+    # counters must still record the whole edge set the query passes it.
+    n, k = 12, 2
+    edges = [(0, s, 10 - s) for s in range(1, 7)] + [(7, 8, 2), (9, 10, 1)]
+    dm = DynamicMatcher(n, k, random.Random(MATCHER_SEED))
+    for u, v, w in edges:
+        dm.update(EdgeUpdate(u, v, w, True))
+    assert {ident for ident, _ in dm._singles} == {edge_id(u, v, n) for u, v, _w in edges}
+
+    text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
+    out = _traced_pass({"kind": "dynamic"}, text)
+    assert out["trace"]["counters"]["solve_sizes"] == [len(edges)]
 
 
 def test_insert_pass():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import re
 import tempfile
 from fractions import Fraction
@@ -8,6 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from checks import hub_graph
 
 from streammatch import cli
 from streammatch.cli import main
@@ -295,6 +298,29 @@ def test_verify_names_the_line_of_an_ill_formed_record(tmp_path, capsys):
     path.write_text("H 4 1 0\nI 0 1 5\nQ\nI 0 1 7\nQ\n")
     assert main(["verify", str(path)]) == 2
     assert "error: line 4: weight of edge (0, 1) changed from 5 to 7" in capsys.readouterr().err
+
+
+def test_verify_and_run_on_a_hub_stream(tmp_path, capsys):
+    # Three hubs at k=4: the search alone took seconds per query before
+    # solve_exact ran on its kernel.
+    k = 4
+    edges, planted = hub_graph(k, spokes=120, seed=4)
+    n = 1 + max(v for _u, v, _w in edges)
+    lines = [f"H {n} {k} 0"] + ["I %d %d %d" % e for e in edges] + ["Q"]
+    for e in random.Random(4).sample([e for e in edges if e not in planted.edges], 3):
+        lines += ["D %d %d %d" % e, "Q", "I %d %d %d" % e, "Q"]
+    path = tmp_path / "hub.txt"
+    path.write_text("\n".join(lines) + "\n")
+    queries = lines.count("Q")
+
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    best = cli._format_answer(planted, 0)
+    assert out[:-1] == [f"query {i}: oracle {best}" for i in range(1, queries + 1)]
+
+    assert main(["run", "--model", "dynamic", "--seed", "1", str(path)]) == 0
+    weights = re.findall(r"^query \d+: weight=(\d+) ", capsys.readouterr().out, re.M)
+    assert weights == [str(planted.weight)] * queries
 
 
 def test_verify_well_formed(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import enumerate_oracle, max_nice_matching
+from checks import enumerate_oracle, hub_graph, max_nice_matching
 
 from streammatch.errors import ParameterError
 from streammatch.exact import Matching, edge_key, is_valid_matching, solve_exact
@@ -87,6 +88,88 @@ def test_returned_matchings_validate():
     ]
     for edges, k, mode, valid in cases:
         assert is_valid_matching(Matching(edges), k, live, mode) is valid, (edges, k, mode)
+
+
+def _hub_multigraph(rng, n, draws):
+    """Edges on n vertices, 60% of endpoints on one or two hubs, about 15%
+    parallel copies or exact duplicates of an earlier pair; weights 0-3,
+    some of them Fractions."""
+    hubs = rng.sample(range(n), rng.randint(1, 2))
+    edges = []
+    for _ in range(draws):
+        w = rng.randint(0, 3) if rng.random() < 0.8 else Fraction(rng.randint(0, 12), 4)
+        if edges and rng.random() < 0.15:
+            u, v, w0 = rng.choice(edges)
+            edges.append((u, v, w0 if rng.random() < 0.5 else w))
+            continue
+        u, v = (rng.choice(hubs) if rng.random() < 0.6 else rng.randrange(n) for _ in "uv")
+        if u != v:
+            edges.append((min(u, v), max(u, v), w))
+    return edges
+
+
+def _saturated_graph(rng, k):
+    """k-1 disjoint edges of weight 3, each endpoint with 2k-2 spokes of
+    weight 1 to private leaves, and k disjoint edges of weight 0.
+
+    The kernel keeps all (k-1)(4k-3) weight-3 and weight-1 edges, and the
+    optimum (the weight-3 edges and one weight-0 edge) needs the next kept
+    edge too, so a stop after (k-1)(4k-3) or fewer kept edges loses it.  The
+    random graphs above hit such a case about once in 2000 instances.
+    """
+    n = (2 * k - 2) * (2 * k - 1) + 2 * k
+    labels = iter(rng.sample(range(n), n))
+    edges = []
+    for _ in range(k - 1):
+        a, b = next(labels), next(labels)
+        edges.append((min(a, b), max(a, b), 3))
+        for hub in (a, b):
+            for _ in range(2 * k - 2):
+                leaf = next(labels)
+                edges.append((min(hub, leaf), max(hub, leaf), 1))
+    for _ in range(k):
+        a, b = next(labels), next(labels)
+        edges.append((min(a, b), max(a, b), 0))
+    rng.shuffle(edges)
+    return edges
+
+
+def test_kernel_matches_oracle_on_hub_multigraphs():
+    # The kernel inside solve_exact drops parallel copies, edges ranked 2k or
+    # worse at an endpoint, and everything after (2k-2)(2k-1)+1 kept edges; the
+    # corpus must reach all three rules, which the simple graphs above rarely do.
+    rng = random.Random(8)
+    wide_vertex = many_pairs = parallel = False
+    for trial in range(2000):
+        if trial % 10 == 0:
+            k = rng.randint(2, 3)
+            edges = _saturated_graph(rng, k)
+        else:
+            k = rng.randint(1, 3)
+            edges = _hub_multigraph(rng, rng.randint(2, 10), rng.randint(0, 22))
+        pairs = {e[:2] for e in edges}
+        neighbours: dict[int, set[int]] = {}
+        for u, v in pairs:
+            neighbours.setdefault(u, set()).add(v)
+            neighbours.setdefault(v, set()).add(u)
+        wide_vertex |= any(len(ns) > 2 * k - 1 for ns in neighbours.values())
+        many_pairs |= k >= 2 and len(pairs) > (2 * k - 2) * (2 * k - 1) + 1
+        parallel |= len(pairs) < len(edges)
+        got = solve_exact(edges, k)
+        want = enumerate_oracle(edges, k)
+        # repr tells Fraction(1, 1) from 1: the tie rule must pick the same copy
+        assert repr(got) == repr(want), (trial, k, edges)
+    assert wide_vertex and many_pairs and parallel
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_hub_graph_query_time_bounded_by_k(k):
+    edges, planted = hub_graph(k)
+    start = time.perf_counter()
+    got = solve_exact(edges, k)
+    elapsed = time.perf_counter() - start
+    assert got == planted
+    assert elapsed < 2.0, f"k={k}: {elapsed:.2f} s on {len(edges)} edges"
 
 
 @settings(max_examples=80, deadline=None)
