@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
     for index, record in enumerate(sf.records):
         if record[0] == "Q":
             query_no += 1
-            answer = solve_exact(truth.edges(), sf.k) if truth.live else None
+            answer = solve_exact(truth.edges(), sf.k)
             print(f"query {query_no}: oracle {_format_answer(answer, sf.precision)}")
         else:
             try:

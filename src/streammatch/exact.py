@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 
 Edge = tuple  # (u, v, weight) with u < v
 
@@ -86,16 +86,24 @@ def is_valid_matching(m: Matching, k: int, live: Mapping[tuple[int, int], int],
     return True
 
 
+def _checked_key(edge: Edge):
+    u, v, w = edge
+    if u >= v:
+        raise DomainError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
+    return (w, u, v)
+
+
 def _sorted_desc(edges: Iterable[Edge]) -> list[Edge]:
-    return sorted(edges, key=edge_key, reverse=True)
+    return sorted(edges, key=_checked_key, reverse=True)
 
 
 def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     """A maximum-weight matching of cardinality exactly k, or None.
 
     ``edges`` may come in any order and may hold parallel copies of a
-    pair.  Deterministic output; see the module docstring for the tie rule
-    and the kernel the search runs on.
+    pair; an edge with u >= v raises DomainError.  Deterministic output;
+    see the module docstring for the tie rule and the kernel the search
+    runs on.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")

@@ -4,7 +4,7 @@ Field elements are plain ints whose bits are the coefficients of a
 polynomial over GF(2).  Addition is xor; multiplication is carry-less
 multiplication followed by reduction modulo a fixed irreducible
 polynomial of degree w.  The reduction polynomial per width is found by
-deterministic search (lowest odd tail first) and certified with Rabin's
+deterministic search (lowest odd tail first) and certified with Ben-Or's
 irreducibility test, so the table is reproducible and self-verified.
 """
 
@@ -37,48 +37,21 @@ def _poly_mod(a: int, f: int) -> int:
     return a
 
 
-def _poly_mulmod(a: int, b: int, f: int) -> int:
-    return _poly_mod(clmul(a, b), f)
-
-
 def _poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _poly_mod(a, b)
     return a
 
 
-def _x_pow_pow2(k: int, f: int) -> int:
-    # x^(2^k) mod f by repeated squaring.
-    t = _poly_mod(0b10, f)
-    for _ in range(k):
-        t = _poly_mulmod(t, t, f)
-    return t
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: int, w: int) -> bool:
-    """Rabin's test for a degree-w polynomial over GF(2)."""
+    """Ben-Or's test for a degree-w polynomial over GF(2): f is irreducible
+    iff gcd(x^(2^i) - x, f) = 1 for every i = 1 .. floor(w/2)."""
     if f.bit_length() != w + 1:
         return False
-    x_mod = _poly_mod(0b10, f)
-    if _x_pow_pow2(w, f) != x_mod:
-        return False
-    for p in _prime_factors(w):
-        u = _x_pow_pow2(w // p, f) ^ x_mod
-        if _poly_gcd(u, f) != 1:
+    t = 0b10
+    for _ in range(w // 2):
+        t = _poly_mod(clmul(t, t), f)
+        if _poly_gcd(t ^ 0b10, f) != 1:
             return False
     return True
 
@@ -90,9 +63,6 @@ def reduction_poly(w: int) -> int:
         raise ParameterError(f"field width must be in [1, {MAX_WIDTH}], got {w}")
     for tail in range(1, 1 << min(w, 16), 2):
         f = (1 << w) | tail
-        # An even number of terms makes x+1 a factor; skip early for w >= 2.
-        if w >= 2 and bin(f).count("1") % 2 == 0:
-            continue
         if is_irreducible(f, w):
             return f
     raise AssertionError(f"no irreducible polynomial found for width {w}")

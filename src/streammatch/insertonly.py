@@ -44,7 +44,6 @@ interface (``update``, ``query``, ``mode``) through ``insert_update`` and
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from typing import Callable, Sequence
 
@@ -66,10 +65,10 @@ def _pair_key(pu: int, pv: int) -> tuple[int, int]:
 
 
 def _heap_charge(capacity: int) -> int:
-    return 1 + max(1, math.ceil(math.log2(capacity + 1)))
+    return 1 + max(1, capacity.bit_length())
 
 
-def task_worst_ops(n_edges: int, k: int) -> int:
+def task_worst_ops(n_edges: int) -> int:
     """Upper bound on total charged operations of one reduction over n_edges."""
     c = _heap_charge(max(n_edges, 1))
     return n_edges * (3 + 2 * c) + 4
@@ -78,7 +77,7 @@ def task_worst_ops(n_edges: int, k: int) -> int:
 def task_budget(k: int) -> int:
     """Per-update step budget B: worst case over inputs of 2q edges, spread over q steps."""
     q = window_length(k)
-    return -(-task_worst_ops(2 * q, k) // q)
+    return -(-task_worst_ops(2 * q) // q)
 
 
 class ReduceTask:
@@ -91,14 +90,10 @@ class ReduceTask:
     """
 
     def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
-        self._head = head
-        self._tail = tail
-        self._part_of = part_of
-        self._k = k
         self.done = False
         self.result: list[Edge] | None = None
-        self._workspace = 0
-        self._gen = self._run()
+        self.workspace = 0  # edges held in the task's own containers
+        self._gen = self._run(head, tail, part_of, k)
 
     def step(self, budget: int) -> int:
         spent = 0
@@ -109,16 +104,12 @@ class ReduceTask:
                 self.done = True
         return spent
 
-    def workspace_edges(self) -> int:
-        return self._workspace
-
-    def _run(self):
-        part_of = self._part_of
-        cap = 8 * self._k
-        q = window_length(self._k)
+    def _run(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
+        cap = 8 * k
+        q = window_length(k)
         best: dict[tuple[int, int], Edge] = {}
 
-        for source in (self._head, self._tail):
+        for source in (head, tail):
             for e in source:
                 u, v, _w = e
                 pu, pv = part_of(u), part_of(v)
@@ -127,15 +118,15 @@ class ReduceTask:
                     cur = best.get(key)
                     if cur is None or edge_key(e) > edge_key(cur):
                         best[key] = e
-                self._workspace = len(best)
+                self.workspace = len(best)
                 yield 3
 
         heap_charge = _heap_charge(max(len(best), 1))
         heap: list = []
+        # Edges only move from best to heap here: workspace stays as it is.
         while best:
             _key, e = best.popitem()
             heapq.heappush(heap, ((-e[2], -e[0], -e[1]), e))
-            self._workspace = len(best) + len(heap)
             yield heap_charge
         yield 1
 
@@ -150,11 +141,11 @@ class ReduceTask:
             counts[pv] = rv
             if ru <= cap and rv <= cap:
                 out.append(e)
-            self._workspace = len(heap) + len(out)
+            self.workspace = len(heap) + len(out)
             yield heap_charge
 
         self.result = out
-        self._workspace = len(out)
+        self.workspace = len(out)
         yield 1
 
 
@@ -167,7 +158,6 @@ class CopyState:
         self.f = f
         self.window_len = window_length(k)
         self.budget = task_budget(k)
-        self.pos = 0
         self.reduced_prev: tuple[Edge, ...] = ()
         self.prev_window: list[Edge] = []
         self.cur_window: list[Edge] = []
@@ -176,11 +166,10 @@ class CopyState:
         self.max_stored_edges = 0
 
     def update(self, edge: Edge):
-        self.pos += 1
         ops = self.task.step(self.budget) if not self.task.done else 0
         self.cur_window.append(edge)
         ops += 1
-        if self.pos % self.window_len == 0:
+        if len(self.cur_window) == self.window_len:
             assert self.task.done, "reduce task must finish within its window"
             self.reduced_prev = tuple(self.task.result)
             self.prev_window = self.cur_window
@@ -198,7 +187,7 @@ class CopyState:
 
     def stored_edges(self) -> int:
         return (len(self.reduced_prev) + len(self.prev_window) + len(self.cur_window)
-                + self.task.workspace_edges())
+                + self.task.workspace)
 
     def view(self) -> list[Edge]:
         """The query-ready subgraph of this copy (reduced part plus raw windows)."""

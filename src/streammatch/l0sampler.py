@@ -107,7 +107,6 @@ class L0Sampler:
         if not 0.0 < delta < 1.0:
             raise ParameterError(f"delta must lie in (0, 1), got {delta}")
         self.n = n
-        self.delta = delta
         self.reps = repetitions_for(delta)
         self.levels = levels_for(n)
         # The subsampling field must be far larger than the domain: with

@@ -107,7 +107,7 @@ def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, rep
         report.one_sided_violations += 1
         return
     if mode == "approx":
-        if config.eps is not None and Fraction(true_w) > (1 - Fraction(str(config.eps))) * opt:
+        if Fraction(true_w) > (1 - Fraction(str(config.eps))) * opt:
             report.within_eps += 1
         if true_w == opt:
             report.successes += 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from checks import enumerate_oracle, hub_graph, max_nice_matching
 
-from streammatch.errors import ParameterError
+from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import Matching, edge_key, is_valid_matching, solve_exact
 
 
@@ -43,6 +43,17 @@ def test_k_validation():
         solve_exact([(0, 1, 1)], 0)
     with pytest.raises(ParameterError):
         enumerate_oracle([(0, 1, 1)], -1)
+
+
+@pytest.mark.parametrize("edges, k", [
+    ([(0, 0, 5), (1, 2, 1)], 2),             # a self-loop beside a valid edge
+    ([(0, 0, 5)], 1),                        # a lone self-loop
+    ([(2, 1, 5), (1, 2, 1)], 1),             # a reversed pair above its forward copy
+    ([(0, 1, 9), (2, 3, 8), (4, 4, 1)], 1),  # a self-loop after the kernel's stop
+])
+def test_rejects_u_not_below_v(edges, k):
+    with pytest.raises(DomainError):
+        solve_exact(edges, k)
 
 
 def _random_graph(rng, n=12, m=16, w=6):

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from streammatch.gf2 import clmul, gf_mul, is_irreducible, reduction_poly
+from streammatch.gf2 import MAX_WIDTH, clmul, gf_mul, is_irreducible, reduction_poly
 
 
 def test_clmul_hand_values():
@@ -25,6 +26,31 @@ def test_reduction_polys_are_irreducible(w):
     f = reduction_poly(w)
     assert f.bit_length() == w + 1
     assert is_irreducible(f, w)
+
+
+def test_reduction_poly_table_digest():
+    # Pins every width's reduction polynomial, so a change of the
+    # irreducibility test cannot silently change the fields.
+    table = ",".join(hex(reduction_poly(w)) for w in range(1, MAX_WIDTH + 1))
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "a98639bbeb4a7db7ce99d02c3e8af2e640eef603f3b12c4f9363b3964164c26d")
+
+
+def test_is_irreducible_agrees_with_a_sieve():
+    # Independent of is_irreducible: a polynomial of degree <= top is
+    # reducible iff it is the product of two polynomials of degree >= 1.
+    top = 10
+    reducible = set()
+    for a in range(2, 1 << top):
+        for b in range(a, 1 << (top + 2 - a.bit_length())):
+            reducible.add(clmul(a, b))
+    counts = [0] * (top + 1)
+    for f in range(2, 1 << (top + 1)):
+        w = f.bit_length() - 1
+        assert is_irreducible(f, w) == (f not in reducible), bin(f)
+        counts[w] += f not in reducible
+    # The number of irreducible binary polynomials of each degree 1..10.
+    assert counts[1:] == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
 
 
 @pytest.mark.parametrize("w", [2, 4, 8, 12])

@@ -129,8 +129,8 @@ def test_task_matches_monolithic_reduction():
             steps += 1
             ops_done += spent
         assert task.result == reduced_compact(edges, f, k)
-        assert ops_done <= task_worst_ops(len(edges), k)
-        assert steps <= max(1, -(-task_worst_ops(len(edges), k) // budget) + 1)
+        assert ops_done <= task_worst_ops(len(edges))
+        assert steps <= max(1, -(-task_worst_ops(len(edges)) // budget) + 1)
 
 
 def test_task_matches_monolithic_reduction_when_rank_cap_binds():
