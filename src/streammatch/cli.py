@@ -68,6 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_stream_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``StreamFormatError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line parse_stream's splitlines() would put the bad byte on.
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise StreamFormatError(line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+
+
 def _fmt_w(w, precision: int) -> str:
     if isinstance(w, int):
         return format_weight(w, precision)
@@ -91,8 +103,7 @@ def _cmd_run(args) -> int:
             raise ParameterError(f"{option} applies only to --model {model}")
     eps = 0.1 if args.epsilon is None else args.epsilon
     delta = 1 / 16 if args.delta is None else args.delta
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_stream_text(args.file)
     sf = parse_stream(text, insert_only=args.model == "insert")
     k = args.k if args.k is not None else sf.k
     rng = spawn_rng(args.seed, "cli-run", args.model, k)
@@ -136,8 +147,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_stream_text(args.file)
     sf = parse_stream(text)
     truth = GraphReplay()
     query_no = 0

@@ -112,8 +112,11 @@ def weight_class(w, eps) -> int:
     base = 1 + _as_fraction(eps)
     if base <= 1:
         raise ParameterError(f"eps must be positive, got {eps}")
+    log_base = math.log(base)
+    if log_base == 0.0:
+        raise ParameterError(f"eps {eps} is too small: 1 + eps rounds to 1.0")
     # A float estimate, corrected exactly below; math.log takes big ints, float(wf) may overflow.
-    i = math.ceil((math.log(wf.numerator) - math.log(wf.denominator)) / math.log(base))
+    i = math.ceil((math.log(wf.numerator) - math.log(wf.denominator)) / log_base)
     while base**i < wf:
         i += 1
     while base ** (i - 1) >= wf:
@@ -169,6 +172,8 @@ class DynamicMatcher:
             eps = _as_fraction(eps)
             if not 0 < eps < 1:
                 raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+            if float(1 + eps) == 1.0:
+                raise ParameterError(f"eps {float(eps)} is too small: 1 + eps rounds to 1.0")
         self.n = n
         self.k = k
         self.mode = mode

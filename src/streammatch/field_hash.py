@@ -19,7 +19,7 @@ threads; the caller owns the rng used for drawing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
 from .gf2 import MAX_WIDTH, gf_mul
@@ -97,22 +97,23 @@ def universal_draw(domain_size: int, r: int, rng: random.Random) -> UniversalHas
 class KWiseHash:
     """A uniformly random polynomial a_0 + a_1 x + ... over GF(2^w).
 
-    ``independence`` is both the independence order and the coefficient
-    count.  Maps ``in_bits``-bit strings to ``out_bits``-bit strings;
-    storage is exactly ``independence`` field elements.
+    The independence order is the coefficient count.  Maps ``in_bits``-bit
+    strings to ``out_bits``-bit strings; the field width w is
+    max(in_bits, out_bits), and storage is exactly the coefficients.
     """
 
-    width: int
-    independence: int
     coeffs: tuple[int, ...]
     in_bits: int
     out_bits: int
+    width: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.coeffs) != self.independence:
-            raise ParameterError("coefficient count must equal independence")
-        if not 1 <= self.out_bits <= self.width:
-            raise ParameterError("out_bits must lie in [1, width]")
+        if self.out_bits < 1:
+            raise ParameterError("out_bits must be >= 1")
+        width = max(self.in_bits, self.out_bits)
+        if width > MAX_WIDTH:
+            raise ParameterError(f"field width {width} exceeds supported maximum {MAX_WIDTH}")
+        object.__setattr__(self, "width", width)
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < (1 << self.in_bits):
@@ -132,7 +133,5 @@ def kwise_draw(independence: int, in_bits: int, out_bits: int, rng: random.Rando
     if independence < 1 or in_bits < 1 or out_bits < 1:
         raise ParameterError("independence, in_bits and out_bits must be >= 1")
     width = max(in_bits, out_bits)
-    if width > MAX_WIDTH:
-        raise ParameterError(f"field width {width} exceeds supported maximum {MAX_WIDTH}")
     coeffs = tuple(rng.getrandbits(width) for _ in range(independence))
-    return KWiseHash(width=width, independence=independence, coeffs=coeffs, in_bits=in_bits, out_bits=out_bits)
+    return KWiseHash(coeffs=coeffs, in_bits=in_bits, out_bits=out_bits)

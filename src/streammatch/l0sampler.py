@@ -90,7 +90,8 @@ class OneSparseSketch:
 
 
 def repetitions_for(delta: float) -> int:
-    return max(1, math.ceil(math.log2(1.0 / delta)))
+    # ceil(log2(1/delta)), without forming 1/delta: it overflows for subnormal delta.
+    return max(1, math.ceil(-math.log2(delta)))
 
 
 def levels_for(n: int) -> int:

@@ -159,6 +159,36 @@ def test_run_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert f"error: need a finite number, got {epsilon}" in captured.err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-17"])
+def test_run_rejects_an_epsilon_that_vanishes_beside_one(tmp_path, capsys, epsilon):
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+    code = main(["run", "--model", "dynamic-approx", f"--epsilon={epsilon}", "--seed", "1", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "query" not in captured.out
+    assert captured.err == f"error: eps {float(epsilon)} is too small: 1 + eps rounds to 1.0\n"
+
+
+@pytest.mark.parametrize("delta", ["5e-324", "1e-320"])
+def test_run_takes_a_subnormal_delta(tmp_path, capsys, delta):
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+    assert main(["run", "--model", "insert", f"--delta={delta}", "--seed", "1", str(path)]) == 0
+    assert capsys.readouterr().out == "query 1: weight=5 edges: (0,1,5)\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_stream_that_is_not_utf8_names_its_line(tmp_path, capsys, command):
+    path = tmp_path / "stream.txt"
+    path.write_bytes(b"H 4 1 0\r\nI 0 1 5\x0c# \xff\nQ\n")  # splitlines() also breaks at \x0c
+    options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
+    assert main([command, *options, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: not UTF-8: byte 0xff\n"
+
+
 @pytest.mark.parametrize("model, option", [
     ("dynamic", "--epsilon=0.5"), ("insert", "--epsilon=0.5"),
     ("dynamic", "--delta=0.5"), ("dynamic-approx", "--delta=0.5"),
@@ -176,8 +206,8 @@ _WEIGHTS = ("1", "3", "7", "3", "2.5", "0", "1" + "0" * 400)
 _JUNK = ("Z 1 2 3", "I 0 1", "I 0 x 1", "I 1 1 1", "I 0 99 1", "D 0 1 3", "D 0 1 5", "I 0 1 3",
          "Q 1", "I 0 1 -2", "I 0 1 1e3", "H 4 1 0", "# note", "")
 _OPTIONS = {"dynamic": ("--k", ("1", "3", "0")),
-            "dynamic-approx": ("--epsilon", ("0.1", "0.5", "0", "2", "nan", "inf")),
-            "insert": ("--delta", ("0.0625", "0.5", "0", "nan"))}
+            "dynamic-approx": ("--epsilon", ("0.1", "0.5", "0", "2", "nan", "inf", "1e-300")),
+            "insert": ("--delta", ("0.0625", "0.5", "0", "nan", "5e-324"))}
 
 
 @st.composite

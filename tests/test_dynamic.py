@@ -64,6 +64,14 @@ def test_weight_class_brackets(w, eps):
     assert class_representative(i, eps) == base**i
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-17])
+def test_an_eps_that_vanishes_beside_one_is_a_parameter_error(eps):
+    with pytest.raises(ParameterError, match="1 \\+ eps rounds to 1.0"):
+        weight_class(5, eps)
+    with pytest.raises(ParameterError, match="1 \\+ eps rounds to 1.0"):
+        DynamicMatcher(4, 1, random.Random(0), mode="approx", eps=eps)
+
+
 def test_weight_class_beyond_float_range():
     # 10**400 and 1/10**400 overflow or underflow a float; the class stays exact.
     for w in (10**400 + 7, Fraction(3, 10**400)):

@@ -101,12 +101,12 @@ def test_kwise_constant_polynomial():
 
 
 def test_kwise_zero_coefficients_map_to_zero():
-    h = KWiseHash(width=8, independence=3, coeffs=(0, 0, 0), in_bits=8, out_bits=4)
+    h = KWiseHash(coeffs=(0, 0, 0), in_bits=8, out_bits=4)
     assert all(h(x) == 0 for x in (0, 1, 17, 255))
 
 
 def test_kwise_at_zero_returns_low_bits_of_a0():
-    h = KWiseHash(width=6, independence=4, coeffs=(45, 9, 3, 1), in_bits=6, out_bits=3)
+    h = KWiseHash(coeffs=(45, 9, 3, 1), in_bits=6, out_bits=3)
     assert h(0) == 45 & 0b111
 
 
@@ -125,7 +125,7 @@ def test_kwise_pairwise_exhaustive_count():
     hits: dict[tuple[int, int], int] = {}
     for c0 in range(16):
         for c1 in range(16):
-            h = KWiseHash(width=w, independence=2, coeffs=(c0, c1), in_bits=w, out_bits=d)
+            h = KWiseHash(coeffs=(c0, c1), in_bits=w, out_bits=d)
             pair = (h(x1), h(x2))
             hits[pair] = hits.get(pair, 0) + 1
     assert all(hits[(a1, a2)] == 2**8 // 16 for a1 in range(4) for a2 in range(4))
@@ -138,7 +138,7 @@ def test_kwise_joint_frequencies_exact(w, independence, d):
     counts: dict[tuple, int] = {}
     total = 0
     for coeffs in itertools.product(range(1 << w), repeat=independence):
-        h = KWiseHash(width=w, independence=independence, coeffs=coeffs, in_bits=w, out_bits=d)
+        h = KWiseHash(coeffs=coeffs, in_bits=w, out_bits=d)
         values = tuple(h(x) for x in keys)
         counts[values] = counts.get(values, 0) + 1
         total += 1

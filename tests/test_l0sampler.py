@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammatch.errors import DomainError, ParameterError
-from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
+from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled, repetitions_for
 
 
 def _sampler(n=64, delta=0.25, seed=0):
@@ -17,6 +17,13 @@ def test_construction_counts():
     assert _sampler(delta=0.5).reps == 1
     s = L0Sampler(2**20, 2**-10, random.Random(1))
     assert (s.reps, s.levels) == (10, 21)
+
+
+@pytest.mark.parametrize("delta, reps", [(0.5, 1), (0.25, 2), (1 / 16, 4), (0.3, 2), (1e-320, 1064),
+                                         (5e-324, 1074)])
+def test_repetitions_for_is_ceil_log2_of_one_over_delta(delta, reps):
+    # 1/delta overflows for a subnormal delta; the count must not.
+    assert repetitions_for(delta) == reps
 
 
 def test_parameter_validation():

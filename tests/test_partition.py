@@ -51,8 +51,7 @@ def test_scaled_ln_ceil_values():
 def _constant_part_scheme(u_size, k, part, member_builder):
     """A scheme whose f maps everything to ``part``; members built per (j, i)."""
     params = SchemeParams.from_sizes(u_size, k)
-    f = KWiseHash(width=max(params.key_bits, params.part_bits), independence=1, coeffs=(part,),
-                  in_bits=params.key_bits, out_bits=params.part_bits)
+    f = KWiseHash(coeffs=(part,), in_bits=params.key_bits, out_bits=params.part_bits)
     families = tuple(
         tuple(member_builder(j, i) for i in range(params.family_size))
         for j in range(params.part_count)

@@ -1,7 +1,9 @@
 """The package stays stdlib-only: every absolute import in
-``src/streammatch`` names a module of the standard library."""
+``src/streammatch`` names a module of the standard library.  Importing
+one pipeline loads none of the other's modules."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,20 @@ def test_package_imports_only_the_standard_library():
     for path in files:
         for name in _absolute_imports(path):
             assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_the_insert_only_pipeline_loads_no_dynamic_module():
+    # The package init re-exports nothing, so importing one pipeline does
+    # not load the other.
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import streammatch.streams, streammatch.insertonly\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert "streammatch.insertonly" in loaded
+    for name in ("streammatch.dynamic", "streammatch.partition", "streammatch.trials"):
+        assert name not in loaded
