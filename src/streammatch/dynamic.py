@@ -16,14 +16,11 @@ with (1+eps)^(i-1) < w <= (1+eps)^i and reports the class representative
 returned matching by a factor (1-eps).
 
 A bank entry is its net update vector (id -> net count) and its seed,
-derived per key so that it does not depend on creation order.  The
-entry's ``L0Sampler`` is built from (seed, net vector) only to decode the
-entry, and dropped after the decode.  The outcome is the one the full
-construction, updated from the start, gives: the sketch is linear and its
-randomness comes only from the seed, so the zero vector is EMPTY, a
-one-sparse vector decodes at repetition 0 / level 0, and any other vector
-decodes as its sketch does.  The abstract space accounting in the harness
-still charges the full construction's counters.
+derived per key so that it does not depend on creation order.  To decode
+an entry, an ``L0Sampler`` is built from (seed, net vector) and dropped
+after the decode; the sampler is linear and its randomness comes only
+from the seed, so the outcome is the one a sampler updated from the start
+gives.  The abstract space accounting still charges the full sketch.
 
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
@@ -100,11 +97,18 @@ def _as_fraction(x) -> Fraction:
         raise ParameterError(f"need a finite number, got {x}") from None
 
 
+# Largest |class index| accepted.  The exact correction in ``weight_class``
+# costs time like |i|, and |i| is about ln(w)/eps: unbounded as eps shrinks.
+WEIGHT_CLASS_CAP = 1 << 14
+
+
 def weight_class(w, eps) -> int:
     """The unique integer i with (1+eps)^(i-1) < w <= (1+eps)^i.
 
     Exact: comparisons are done in rational arithmetic, so boundary
     weights (w exactly a power of 1+eps) land in the closed upper end.
+    A weight whose estimated |i| exceeds ``WEIGHT_CLASS_CAP`` is a
+    ``DomainError``.
     """
     wf = _as_fraction(w)
     if wf <= 0:
@@ -117,6 +121,9 @@ def weight_class(w, eps) -> int:
         raise ParameterError(f"eps {eps} is too small: 1 + eps rounds to 1.0")
     # A float estimate, corrected exactly below; math.log takes big ints, float(wf) may overflow.
     i = math.ceil((math.log(wf.numerator) - math.log(wf.denominator)) / log_base)
+    if abs(i) > WEIGHT_CLASS_CAP:
+        raise DomainError(f"weight class {i} at eps {float(base - 1)} "
+                          f"is beyond the cap |i| <= {WEIGHT_CLASS_CAP}")
     while base**i < wf:
         i += 1
     while base ** (i - 1) >= wf:

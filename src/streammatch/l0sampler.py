@@ -3,22 +3,26 @@
 Standard construction: ceil(log2(1/delta)) independent repetitions, each
 with ceil(log2 N)+1 geometric subsampling levels.  Level l admits an id
 with probability about 2^-l through a pairwise-independent hash drawn
-over a field far larger than the domain (level 0 admits everything), and
-keeps a verified one-sparse sketch of the admitted sub-vector: the
-running sums
+over a field far larger than the domain (level 0 admits everything).  A
+cell (repetition, level) is a verified one-sparse sketch of the admitted
+sub-vector: the sums
 
     phi = sum c_i,   iota = sum c_i * id_i,   tau = sum c_i * z^id_i mod P
 
-for a per-sketch random z and the fixed Mersenne prime P = 2^61 - 1.  A
-level is decoded only if phi is nonzero, phi divides iota, the recovered
-id is in range and the fingerprint matches, so a multi-sparse level is
+for a per-cell random z and the fixed Mersenne prime P = 2^61 - 1.  A
+cell is decoded only if phi is nonzero, phi divides iota, the recovered
+id is in range and the fingerprint matches, so a multi-sparse cell is
 mistaken for one-sparse with probability at most (support size)/P, which
 is negligible and the only caveat on the otherwise exact outcomes below.
 
-Query outcomes are exact on the extremes: the zero vector always yields
-``EMPTY`` (all counters are zero by linearity), and a one-sparse vector is
-always decoded at repetition 0, level 0.  ``FAIL`` is returned only when
-some counter is nonzero but no level verifies.
+The sampler holds the exact net vector (id -> nonzero net count) and the
+cells' random parameters, and ``query`` computes each cell's sums from
+the net vector.  The sketch is linear, so these are the counters the
+grid of cells would hold had it been updated from the start, and the
+outcome is the grid's, bit for bit: ``Sampled`` from the first cell that
+verifies, in repetition-major order; ``EMPTY`` on the zero vector (all
+sums are zero); ``FAIL`` when some sum is nonzero but no cell verifies.
+A one-sparse vector always decodes at repetition 0, level 0.
 
 A sampler is single-owner mutable state; distinct samplers are
 independent.  Queries never mutate.
@@ -57,41 +61,21 @@ EMPTY = _Outcome("Empty")
 FAIL = _Outcome("Fail")
 
 
-class OneSparseSketch:
-    """Signed counters (phi, iota, tau) for one subsampling cell."""
-
-    __slots__ = ("phi", "iota", "tau", "z")
-
-    def __init__(self, z: int):
-        if not 1 <= z < FINGERPRINT_PRIME:
-            raise ParameterError("fingerprint base must lie in [1, P)")
-        self.phi = 0
-        self.iota = 0
-        self.tau = 0
-        self.z = z
-
-    def update(self, ident: int, count: int):
-        self.phi += count
-        self.iota += count * ident
-        self.tau = (self.tau + count * pow(self.z, ident, FINGERPRINT_PRIME)) % FINGERPRINT_PRIME
-
-    def is_zero(self) -> bool:
-        return self.phi == 0 and self.iota == 0 and self.tau == 0
-
-    def recover(self, n: int) -> int | None:
-        """The unique id if the cell is verifiably one-sparse, else None."""
-        if self.phi == 0 or self.iota % self.phi != 0:
-            return None
-        ident = self.iota // self.phi
-        if not 0 <= ident < n:
-            return None
-        expect = (self.phi % FINGERPRINT_PRIME) * pow(self.z, ident, FINGERPRINT_PRIME) % FINGERPRINT_PRIME
-        return ident if expect == self.tau else None
+def _recover(phi: int, iota: int, tau: int, z: int, n: int) -> int | None:
+    """The unique id if a cell's sums are verifiably one-sparse, else None."""
+    if phi == 0 or iota % phi != 0:
+        return None
+    ident = iota // phi
+    if not 0 <= ident < n:
+        return None
+    expect = (phi % FINGERPRINT_PRIME) * pow(z, ident, FINGERPRINT_PRIME) % FINGERPRINT_PRIME
+    return ident if expect == tau else None
 
 
 def repetitions_for(delta: float) -> int:
-    # ceil(log2(1/delta)), without forming 1/delta: it overflows for subnormal delta.
-    return max(1, math.ceil(-math.log2(delta)))
+    # ceil(log2(1/delta)), exact: delta = m * 2^e with 1/2 <= m < 1, so
+    # 2^-e <= 1/delta < 2^(1-e).  1/delta itself overflows for subnormal delta.
+    return max(1, 1 - math.frexp(delta)[1])
 
 
 def levels_for(n: int) -> int:
@@ -115,17 +99,15 @@ class L0Sampler:
         # number of ids admitted at level l is essentially fixed at p/2^l
         # and deep levels are almost never one-sparse.
         p = next_prime(max(n, 1 << 31))
-        grid = []
-        for _ in range(self.reps):
-            row = []
-            for level in range(self.levels):
-                a = rng.randrange(1, p)
-                b = rng.randrange(p)
-                z = rng.randrange(1, FINGERPRINT_PRIME)
-                row.append((a, b, 1 << level, OneSparseSketch(z)))
-            grid.append(row)
+        # (a, b, 2^level, z) per cell, repetition-major; the draw order fixes
+        # the cells a seed gives.
+        self._cells = [
+            (rng.randrange(1, p), rng.randrange(p), 1 << level, rng.randrange(1, FINGERPRINT_PRIME))
+            for _ in range(self.reps)
+            for level in range(self.levels)
+        ]
         self._p = p
-        self._grid = grid
+        self.net: dict[int, int] = {}
 
     def update(self, ident: int, count: int):
         """Apply a signed update; linear, so update order never matters."""
@@ -133,20 +115,26 @@ class L0Sampler:
             raise DomainError(f"id {ident} outside [0, {self.n})")
         if count not in (1, -1):
             raise ParameterError(f"count must be +1 or -1, got {count}")
-        p = self._p
-        for row in self._grid:
-            for a, b, r, sketch in row:
-                if ((a * ident + b) % p) % r == 0:
-                    sketch.update(ident, count)
+        c = self.net.get(ident, 0) + count
+        if c:
+            self.net[ident] = c
+        else:
+            del self.net[ident]
 
     def query(self):
         """Sampled(id) from the first verified cell, EMPTY on the zero vector, else FAIL."""
-        all_zero = True
-        for row in self._grid:
-            for _a, _b, _r, sketch in row:
-                if all_zero and not sketch.is_zero():
-                    all_zero = False
-                ident = sketch.recover(self.n)
-                if ident is not None:
-                    return Sampled(ident)
-        return EMPTY if all_zero else FAIL
+        p = self._p
+        nonzero = False
+        for a, b, r, z in self._cells:
+            phi = iota = tau = 0
+            for ident, c in self.net.items():
+                if ((a * ident + b) % p) % r == 0:
+                    phi += c
+                    iota += c * ident
+                    tau += c * pow(z, ident, FINGERPRINT_PRIME)
+            tau %= FINGERPRINT_PRIME
+            nonzero = nonzero or phi != 0 or iota != 0 or tau != 0
+            ident = _recover(phi, iota, tau, z, self.n)
+            if ident is not None:
+                return Sampled(ident)
+        return FAIL if nonzero else EMPTY

@@ -12,10 +12,11 @@ from streammatch.dynamic import (
     class_representative,
     edge_from_id,
 )
-from streammatch.errors import ParameterError
+from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import Edge, Matching, _sorted_desc, edge_key, solve_exact
+from streammatch.field_hash import next_prime
 from streammatch.insertonly import PartFn, _pair_key, task_budget, window_length
-from streammatch.l0sampler import EMPTY, Sampled
+from streammatch.l0sampler import EMPTY, FAIL, FINGERPRINT_PRIME, Sampled, levels_for, repetitions_for
 from streammatch.partition import HashScheme, SchemeParams, key_indices, scaled_ln_ceil
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
@@ -182,6 +183,92 @@ def reduced_compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge
             if len(out) == q:
                 break
     return out
+
+
+class OneSparseSketch:
+    """Signed counters (phi, iota, tau) for one subsampling cell."""
+
+    __slots__ = ("phi", "iota", "tau", "z")
+
+    def __init__(self, z: int):
+        if not 1 <= z < FINGERPRINT_PRIME:
+            raise ParameterError("fingerprint base must lie in [1, P)")
+        self.phi = 0
+        self.iota = 0
+        self.tau = 0
+        self.z = z
+
+    def update(self, ident: int, count: int):
+        self.phi += count
+        self.iota += count * ident
+        self.tau = (self.tau + count * pow(self.z, ident, FINGERPRINT_PRIME)) % FINGERPRINT_PRIME
+
+    def is_zero(self) -> bool:
+        return self.phi == 0 and self.iota == 0 and self.tau == 0
+
+    def recover(self, n: int) -> int | None:
+        """The unique id if the cell is verifiably one-sparse, else None."""
+        if self.phi == 0 or self.iota % self.phi != 0:
+            return None
+        ident = self.iota // self.phi
+        if not 0 <= ident < n:
+            return None
+        expect = (self.phi % FINGERPRINT_PRIME) * pow(self.z, ident, FINGERPRINT_PRIME) % FINGERPRINT_PRIME
+        return ident if expect == self.tau else None
+
+
+class GridL0Sampler:
+    """Reference ``L0Sampler``: the reps x levels grid of live counters.
+
+    Every update goes through every cell that admits its id, so the grid
+    holds the counters that ``L0Sampler.query`` computes from its net
+    vector.  Cells are drawn from ``rng`` in the same order, so one seed
+    gives both samplers the same cells and leaves ``rng`` in the same state.
+    """
+
+    def __init__(self, n: int, delta: float, rng: random.Random):
+        if n < 1:
+            raise ParameterError(f"domain size must be >= 1, got {n}")
+        if not 0.0 < delta < 1.0:
+            raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+        self.n = n
+        self.reps = repetitions_for(delta)
+        self.levels = levels_for(n)
+        p = next_prime(max(n, 1 << 31))
+        grid = []
+        for _ in range(self.reps):
+            row = []
+            for level in range(self.levels):
+                a = rng.randrange(1, p)
+                b = rng.randrange(p)
+                z = rng.randrange(1, FINGERPRINT_PRIME)
+                row.append((a, b, 1 << level, OneSparseSketch(z)))
+            grid.append(row)
+        self._p = p
+        self._grid = grid
+
+    def update(self, ident: int, count: int):
+        if not 0 <= ident < self.n:
+            raise DomainError(f"id {ident} outside [0, {self.n})")
+        if count not in (1, -1):
+            raise ParameterError(f"count must be +1 or -1, got {count}")
+        p = self._p
+        for row in self._grid:
+            for a, b, r, sketch in row:
+                if ((a * ident + b) % p) % r == 0:
+                    sketch.update(ident, count)
+
+    def query(self):
+        """Sampled(id) from the first verified cell, EMPTY on the zero vector, else FAIL."""
+        all_zero = True
+        for row in self._grid:
+            for _a, _b, _r, sketch in row:
+                if all_zero and not sketch.is_zero():
+                    all_zero = False
+                ident = sketch.recover(self.n)
+                if ident is not None:
+                    return Sampled(ident)
+        return EMPTY if all_zero else FAIL
 
 
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:

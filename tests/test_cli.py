@@ -3,6 +3,8 @@ import io
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -168,6 +170,21 @@ def test_run_rejects_an_epsilon_that_vanishes_beside_one(tmp_path, capsys, epsil
     captured = capsys.readouterr()
     assert "query" not in captured.out
     assert captured.err == f"error: eps {float(epsilon)} is too small: 1 + eps rounds to 1.0\n"
+
+
+def test_run_refuses_a_weight_class_beyond_the_cap(tmp_path):
+    # At eps 2.3e-16, weight 5 lies in class ~7e15; computing it exactly
+    # does not finish, so the run goes in a subprocess under a timeout.
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    args = ["run", "--model", "dynamic-approx", "--epsilon=2.3e-16", "--seed", "1", str(path)]
+    code = f"import sys; sys.path.insert(0, {src!r}); from streammatch.cli import main; sys.exit(main({args!r}))"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: line 2: weight class 7248263982714164 at eps 2.3e-16 "
+                           "is beyond the cap |i| <= 16384\n")
 
 
 @pytest.mark.parametrize("delta", ["5e-324", "1e-320"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import enumerate_oracle, sweep_query
+from checks import GridL0Sampler, enumerate_oracle, sweep_query
 
 from streammatch.dynamic import (
     BankSampler,
@@ -18,7 +18,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.l0sampler import EMPTY, L0Sampler, Sampled
+from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import key_indices
 from streammatch.streams import GraphReplay, gen_planted
 
@@ -155,7 +155,7 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
     n_ids = 120
     for trial in range(200):
         seed = rng.getrandbits(63)
-        full = L0Sampler(n_ids, 0.05, random.Random(seed))
+        full = GridL0Sampler(n_ids, 0.05, random.Random(seed))
         rec = BankSampler(seed)
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)

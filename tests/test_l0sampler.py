@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from checks import GridL0Sampler
 
 from streammatch.errors import DomainError, ParameterError
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled, repetitions_for
@@ -10,6 +13,10 @@ from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled, repetitions_f
 
 def _sampler(n=64, delta=0.25, seed=0):
     return L0Sampler(n, delta, random.Random(seed))
+
+
+def _reference(n=64, delta=0.25, seed=0):
+    return GridL0Sampler(n, delta, random.Random(seed))
 
 
 def test_construction_counts():
@@ -20,9 +27,11 @@ def test_construction_counts():
 
 
 @pytest.mark.parametrize("delta, reps", [(0.5, 1), (0.25, 2), (1 / 16, 4), (0.3, 2), (1e-320, 1064),
-                                         (5e-324, 1074)])
+                                         (5e-324, 1074), (math.nextafter(1 / 16, 0), 5),
+                                         (math.nextafter(0.25, 0), 3)])
 def test_repetitions_for_is_ceil_log2_of_one_over_delta(delta, reps):
-    # 1/delta overflows for a subnormal delta; the count must not.
+    # 1/delta overflows for a subnormal delta; the count must not.  Just
+    # below a power of two, 1/delta exceeds it and needs one more copy.
     assert repetitions_for(delta) == reps
 
 
@@ -54,7 +63,7 @@ def test_insert_delete_returns_empty():
 
 
 def test_double_insert_phi_two_at_level_zero():
-    s = _sampler(seed=3)
+    s = _reference(seed=3)
     s.update(5, 1)
     s.update(5, 1)
     # level 0 of repetition 0 admits unconditionally
@@ -62,6 +71,11 @@ def test_double_insert_phi_two_at_level_zero():
     assert sketch.phi == 2
     assert sketch.iota == 10
     assert s.query() == Sampled(5)
+    t = _sampler(seed=3)
+    t.update(5, 1)
+    t.update(5, 1)
+    assert t.net == {5: 2}
+    assert t.query() == s.query()
 
 
 def test_fresh_state_is_empty():
@@ -91,15 +105,57 @@ def test_determinism_under_fixed_seed():
 @given(st.permutations(list(range(6))), st.integers(min_value=0, max_value=2**30))
 def test_linearity_update_order_irrelevant(order, seed):
     base = [(3, 1), (9, 1), (11, 1), (9, -1), (20, 1), (20, -1)]
-    s1 = _sampler(n=32, seed=seed)
-    s2 = _sampler(n=32, seed=seed)
+    s1 = _reference(n=32, seed=seed)
+    s2 = _reference(n=32, seed=seed)
+    t1 = _sampler(n=32, seed=seed)
+    t2 = _sampler(n=32, seed=seed)
     for ident, c in base:
         s1.update(ident, c)
+        t1.update(ident, c)
     for idx in order:
         s2.update(*base[idx])
+        t2.update(*base[idx])
     g1 = [(sk.phi, sk.iota, sk.tau) for row in s1._grid for (_a, _b, _r, sk) in row]
     g2 = [(sk.phi, sk.iota, sk.tau) for row in s2._grid for (_a, _b, _r, sk) in row]
     assert g1 == g2
+    assert t1.net == t2.net
+    assert t1.query() == t2.query()
+
+
+def _random_updates(rng, n):
+    # A support of 0-64 ids with net counts in {-2, -1, 1, 2}, applied as
+    # +-1 steps, plus up to two cancelling insert/delete pairs, shuffled.
+    updates = []
+    for ident in rng.sample(range(n), min(n, rng.choice((0, 0, 1, 2, 3, 5, 8, 30, 64)))):
+        c = rng.choice((1, -1, 2, -2))
+        updates += [(ident, 1 if c > 0 else -1)] * abs(c)
+    for _ in range(rng.randrange(3)):
+        ident = rng.randrange(n)
+        updates += [(ident, 1), (ident, -1)]
+    rng.shuffle(updates)
+    return updates
+
+
+def test_sampler_decodes_as_the_counter_grid():
+    # Same seed, same updates: the net-vector sampler gives the reference
+    # grid's outcome, and leaves the caller's rng in the same state.  The
+    # last shape is a dyn-churn bank entry (n=20000, k=2: 9 x 29 cells);
+    # support 64 at delta 0.5 fails often.
+    rng = random.Random(11)
+    seen = set()
+    for n, delta in [(1, 0.3), (16, 0.01), (64, 0.5), (300, 1 / 16), (20000 * 19999 // 2, 0.00225)]:
+        for _ in range(150):
+            seed = rng.getrandbits(63)
+            ref_rng, rng_ = random.Random(seed), random.Random(seed)
+            ref, s = GridL0Sampler(n, delta, ref_rng), L0Sampler(n, delta, rng_)
+            assert rng_.getstate() == ref_rng.getstate()
+            for ident, c in _random_updates(rng, n):
+                ref.update(ident, c)
+                s.update(ident, c)
+            res = s.query()
+            assert res == ref.query(), (n, delta, seed)
+            seen.add(type(res) if isinstance(res, Sampled) else res)
+    assert seen == {Sampled, EMPTY, FAIL}
 
 
 def test_support_two_frequencies():
