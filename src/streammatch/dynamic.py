@@ -13,7 +13,8 @@ Exact mode keys samplers by the exact (scaled integer) weight.  Approx
 mode keys by the class index of the geometric rounding w -> (1+eps)^i
 with (1+eps)^(i-1) < w <= (1+eps)^i and reports the class representative
 (1+eps)^i as the edge weight, which is what bounds the weight loss of the
-returned matching by a factor (1-eps).
+returned matching by a factor (1-eps).  ``wclasses`` maps each class seen
+to the weight its edges report: the class, or in approx mode its representative.
 
 A bank entry is its net update vector (id -> net count) and its seed,
 derived per key so that it does not depend on creation order.  To decode
@@ -116,11 +117,14 @@ def weight_class(w, eps) -> int:
     base = 1 + _as_fraction(eps)
     if base <= 1:
         raise ParameterError(f"eps must be positive, got {eps}")
-    log_base = math.log(base)
-    if log_base == 0.0:
+    if math.log(base) == 0.0:
         raise ParameterError(f"eps {eps} is too small: 1 + eps rounds to 1.0")
-    # A float estimate, corrected exactly below; math.log takes big ints, float(wf) may overflow.
-    i = math.ceil((math.log(wf.numerator) - math.log(wf.denominator)) / log_base)
+    # A float estimate, corrected exactly below.  log1p keeps the digits of a small eps,
+    # and of w near 1; elsewhere math.log takes big ints, since float(wf) may overflow.
+    num, den = wf.numerator, wf.denominator
+    near_one = 2 * abs(num - den) < den  # |w - 1| < 1/2
+    log_w = math.log1p((num - den) / den) if near_one else math.log(num) - math.log(den)
+    i = math.ceil(log_w / math.log1p(float(base - 1)))
     if abs(i) > WEIGHT_CLASS_CAP:
         raise DomainError(f"weight class {i} at eps {float(base - 1)} "
                           f"is beyond the cap |i| <= {WEIGHT_CLASS_CAP}")
@@ -150,8 +154,7 @@ class BankSampler:
 
     def _materialize(self, n_ids: int, delta: float) -> L0Sampler:
         sketch = L0Sampler(n_ids, delta, random.Random(self.seed))
-        for ident in sorted(self.net):
-            count = self.net[ident]
+        for ident, count in self.net.items():
             step = 1 if count > 0 else -1
             for _ in range(abs(count)):
                 sketch.update(ident, step)
@@ -194,10 +197,9 @@ class DynamicMatcher:
         self.n_ids = n * (n - 1) // 2
         self._bank_seed = rng.getrandbits(64)
         self.updates_applied = 0
-        self.wclasses: set = set()
+        self.wclasses: dict = {}  # class -> reported weight (module docstring)
         self.last_touched = 0
         self.last_query_stats = QueryStats()
-        self._rep_cache: dict[int, Fraction] = {}
         # The query index (module docstring): entries whose net vector is
         # exactly {id}, counted per (id, weight class), and the slow entries,
         # key -> decoded outcome, or None if not decoded since the last touch.
@@ -209,8 +211,11 @@ class DynamicMatcher:
             raise DomainError(f"vertex {upd.v} outside [0, {self.n})")
         if self.mode == "approx":
             wc = weight_class(upd.w, self.eps)
+            if wc not in self.wclasses:
+                self.wclasses[wc] = class_representative(wc, self.eps)
         else:
             wc = upd.w
+            self.wclasses[wc] = wc
         values_u = key_indices(upd.u, self.scheme)
         values_v = key_indices(upd.v, self.scheme)
         ident = edge_id(upd.u, upd.v, self.n)
@@ -246,7 +251,6 @@ class DynamicMatcher:
         if gained:
             self._count_single((ident, wc), gained)
         self.updates_applied += 1
-        self.wclasses.add(wc)
         touched = len(values_u) * len(values_v)
         self.last_touched = touched
         self._assert_budgets(touched)
@@ -289,18 +293,10 @@ class DynamicMatcher:
             else:
                 stats.failed += 1
         self.last_query_stats = stats
-        if not sampled:
-            return None
         edges = []
         for ident, wc in sampled:
             u, v = edge_from_id(ident)
-            if self.mode == "approx":
-                w = self._rep_cache.get(wc)
-                if w is None:
-                    w = self._rep_cache[wc] = class_representative(wc, self.eps)
-            else:
-                w = wc
-            edges.append((u, v, w))
+            edges.append((u, v, self.wclasses[wc]))
         return solve_exact(edges, self.k)
 
 

@@ -6,7 +6,11 @@ the admissible bound "current weight + sum of the next (k - chosen)
 weights".  It visits candidate matchings in position-lex order over
 key-descending edges and keeps the first strict improvement, which makes
 ties deterministic: among optimal k-matchings the one whose sorted key
-sequence is lexicographically largest wins.
+sequence is lexicographically largest wins.  The search is one loop
+over edge positions with an explicit stack: each chosen edge pushes its
+position, the running weight before it and the scan of its depth,
+resumed when the edge is dropped.  So k is not limited by the
+interpreter's recursion depth.
 
 Before the search, one scan of the key-descending edges keeps a kernel:
 
@@ -31,8 +35,8 @@ is unchanged.
 
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
-each, one solve takes about 1 ms at k=4, 0.35 s at k=6, 12 s at k=7 and
-some 500 s at k=8 on a 2-core Xeon (ROADMAP item 4).
+each, one solve takes about 1.2 ms at k=4, 17 ms at k=5, 0.5-0.75 s at
+k=6 and 18 s at k=7 on a shared 2-core Xeon (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -108,12 +112,15 @@ def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     # The kernel of the module docstring: rules 1, 2 and 3 in turn.
+    # prefix[i] = weight of es[:i]; since key-descending order is
+    # weight-descending, the heaviest c edges of es[i:] are es[i:i+c].
     cap, limit = 2 * k - 1, (2 * k - 2) * (2 * k - 1) + 1
     es: list[Edge] = []
+    prefix = [0]
     seen: set[tuple[int, int]] = set()
     rank: dict[int, int] = {}
     for e in _sorted_desc(edges):
-        u, v, _w = e
+        u, v, w = e
         if (u, v) in seen:
             continue
         seen.add((u, v))
@@ -121,45 +128,39 @@ def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
         rank[v] = rank.get(v, 0) + 1
         if rank[u] <= cap and rank[v] <= cap:
             es.append(e)
+            prefix.append(prefix[-1] + w)
             if len(es) == limit:
                 break
     m = len(es)
-    if m < k:
-        return None
 
-    # prefix[i] = sum of weights of es[:i]; since key-descending order is
-    # weight-descending, the heaviest c edges of es[i:] are es[i:i+c].
-    prefix = [0] * (m + 1)
-    for i, e in enumerate(es):
-        prefix[i + 1] = prefix[i] + e[2]
-
-    best: list[Edge] | None = None
-    best_w = None
-    chosen: list[Edge] = []
+    # The search of the module docstring; a frame is (scan, position, u, v, weight before).
+    best = best_w = None
+    frames: list[tuple] = []
     used: set[int] = set()
-
-    def dfs(start: int, cur_w):
-        nonlocal best, best_w
-        need = k - len(chosen)
-        if need == 0:
-            if best_w is None or cur_w > best_w:
-                best = list(chosen)
-                best_w = cur_w
-            return
-        last = m - need
-        for i in range(start, last + 1):
-            if best_w is not None and cur_w + prefix[i + need] - prefix[i] <= best_w:
-                return  # bound only shrinks as i grows
-            u, v, w = es[i]
+    need, cur, scan = k, 0, iter(range(m - k + 1))
+    while True:
+        depth = need
+        for j in scan:
+            if best_w is not None and cur + prefix[j + need] - prefix[j] <= best_w:
+                break  # the bound only shrinks as j grows
+            u, v, w = es[j]
             if u in used or v in used:
                 continue
-            chosen.append(es[i])
-            used.add(u)
-            used.add(v)
-            dfs(i + 1, cur_w + w)
-            used.discard(u)
-            used.discard(v)
-            chosen.pop()
-
-    dfs(0, 0)
-    return Matching(tuple(best)) if best is not None else None
+            if need > 1:
+                frames.append((scan, j, u, v, cur))
+                used.add(u)
+                used.add(v)
+                need, cur = need - 1, cur + w
+                scan = iter(range(j + 1, m - need + 1))
+            elif best_w is None or cur + w > best_w:
+                best, best_w = [f[1] for f in frames] + [j], cur + w
+            break  # descend; or, at need 1, no later edge is heavier
+        if need < depth:
+            continue
+        if not frames:
+            break
+        scan, _j, u, v, cur = frames.pop()
+        used.discard(u)
+        used.discard(v)
+        need += 1
+    return Matching(tuple(es[j] for j in best)) if best is not None else None

@@ -158,7 +158,7 @@ class CopyState:
         self.f = f
         self.window_len = window_length(k)
         self.budget = task_budget(k)
-        self.reduced_prev: tuple[Edge, ...] = ()
+        self.reduced_prev: Sequence[Edge] = ()
         self.prev_window: list[Edge] = []
         self.cur_window: list[Edge] = []
         self.task = ReduceTask(self.reduced_prev, self.prev_window, f, k)
@@ -171,7 +171,7 @@ class CopyState:
         ops += 1
         if len(self.cur_window) == self.window_len:
             assert self.task.done, "reduce task must finish within its window"
-            self.reduced_prev = tuple(self.task.result)
+            self.reduced_prev = self.task.result
             self.prev_window = self.cur_window
             self.cur_window = []
             self.task = ReduceTask(self.reduced_prev, self.prev_window, self.f, self.k)
@@ -188,10 +188,6 @@ class CopyState:
     def stored_edges(self) -> int:
         return (len(self.reduced_prev) + len(self.prev_window) + len(self.cur_window)
                 + self.task.workspace)
-
-    def view(self) -> list[Edge]:
-        """The query-ready subgraph of this copy (reduced part plus raw windows)."""
-        return list(self.reduced_prev) + self.prev_window + self.cur_window
 
 
 def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[CopyState]:
@@ -217,9 +213,9 @@ def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
     """Union the copies' subgraphs (deduplicated) and solve exactly."""
     edges = set()
     for copy in copies:
-        edges.update(copy.view())
-    if not edges:
-        return None
+        edges.update(copy.reduced_prev)
+        edges.update(copy.prev_window)
+        edges.update(copy.cur_window)
     return solve_exact(edges, k)
 
 

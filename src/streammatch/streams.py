@@ -8,9 +8,10 @@ Grammar (one record per line, ``#`` starts a comment):
     Q                         query marker
 
 Weights are parsed as exact scaled integers: with precision p, the token
-``1.25`` becomes 125.  Endpoints are normalized to u < v at parse time.
-A file must contain a header with 1 <= k <= n/2 and at least one query
-record.
+``1.25`` becomes 125.  ``DIGITS_CAP`` caps the precision and a weight's
+digits before the point, so every weight and sum of weights prints.
+Endpoints are normalized to u < v at parse time.  A file must contain a
+header with 1 <= k <= n/2 and at least one query record.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import ModelError, ParameterError, StreamFormatError
 from .seeds import spawn_rng
 
 _WEIGHT_RE = re.compile(r"\d+(\.\d+)?")
+DIGITS_CAP = 1000
 
 Record = tuple  # ("I", u, v, w) | ("D", u, v, w) | ("Q",)
 
@@ -39,6 +41,8 @@ def scale_weight(token: str, precision: int, line_no: int = 0) -> int:
     if not _WEIGHT_RE.fullmatch(token):
         raise StreamFormatError(line_no, f"bad weight {token!r}")
     whole, _, frac = token.partition(".")
+    if len(whole) > DIGITS_CAP:
+        raise StreamFormatError(line_no, f"weight has more than {DIGITS_CAP} digits before the point")
     if len(frac) > precision:
         raise StreamFormatError(
             line_no, f"weight {token!r} has more than {precision} decimal places")
@@ -75,6 +79,8 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "header fields must be integers") from None
             if n < 2 or k < 1 or precision < 0:
                 raise StreamFormatError(line_no, f"bad header values n={n}, k={k}, precision={precision}")
+            if precision > DIGITS_CAP:
+                raise StreamFormatError(line_no, f"precision {precision} is above the cap of {DIGITS_CAP}")
             if 2 * k > n:
                 raise StreamFormatError(line_no, f"need k <= n/2, got k={k}, n={n}")
             header = (n, k, precision)

@@ -1,10 +1,14 @@
 """Shared exhaustive checkers and reference implementations used by the tests."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import streammatch
 from streammatch.dynamic import (
     EdgeUpdate,
     QueryStats,
@@ -21,6 +25,17 @@ from streammatch.partition import HashScheme, SchemeParams, key_indices, scaled_
 from streammatch.seeds import derive_seed, spawn_rng
 from streammatch.streams import gen_planted
 from streammatch.trials import TrialConfig, make_matcher
+
+
+def run_isolated(code: str, timeout: float = 15) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package under test.
+
+    For a call that might not finish: past ``timeout`` seconds the child is
+    killed and ``subprocess.TimeoutExpired`` fails the calling test.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streammatch.__file__)))
+    return subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def interval_violations(scheme, u_size):

@@ -3,8 +3,6 @@ import io
 import os
 import random
 import re
-import subprocess
-import sys
 import tempfile
 from fractions import Fraction
 
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import hub_graph
+from checks import hub_graph, run_isolated
 
 from streammatch import cli
 from streammatch.cli import main
@@ -139,8 +137,12 @@ def test_run_approx_model_huge_weight(tmp_path, capsys):
     ("H 4 1 0\n# note\n\nI 0 1 5\nD 0 1 5\nD 0 1 5\nQ\n", "dynamic",
      "error: line 6: deletion of dead edge (0, 1)"),
     ("H 4 3 0\nI 0 1 5\nQ\n", "dynamic", "error: line 1: need k <= n/2, got k=3, n=4"),
+    ("H 4 1 5000\nI 0 1 5\nQ\n", "dynamic-approx", "error: line 1: precision 5000 is above the cap of 1000"),
+    (f"H 4 1 0\nI 0 1 {'7' * 5000}\nQ\n", "insert",
+     "error: line 2: weight has more than 1000 digits before the point"),
 ], ids=["dead-delete-dynamic", "duplicate-dynamic", "duplicate-insert", "drift-dynamic", "drift-insert",
-        "zero-weight-approx", "dead-delete-after-comments", "k-above-half-n"])
+        "zero-weight-approx", "dead-delete-after-comments", "k-above-half-n", "precision-above-cap",
+        "weight-digits-above-cap"])
 def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     path = tmp_path / "ill.txt"
     path.write_text(text)
@@ -172,19 +174,31 @@ def test_run_rejects_an_epsilon_that_vanishes_beside_one(tmp_path, capsys, epsil
     assert captured.err == f"error: eps {float(epsilon)} is too small: 1 + eps rounds to 1.0\n"
 
 
+def _main_isolated(args):
+    return run_isolated(f"from streammatch.cli import main; sys.exit(main({args!r}))")
+
+
 def test_run_refuses_a_weight_class_beyond_the_cap(tmp_path):
     # At eps 2.3e-16, weight 5 lies in class ~7e15; computing it exactly
     # does not finish, so the run goes in a subprocess under a timeout.
     path = tmp_path / "stream.txt"
     path.write_text("H 4 1 0\nI 0 1 5\nQ\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    args = ["run", "--model", "dynamic-approx", "--epsilon=2.3e-16", "--seed", "1", str(path)]
-    code = f"import sys; sys.path.insert(0, {src!r}); from streammatch.cli import main; sys.exit(main({args!r}))"
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    proc = _main_isolated(["run", "--model", "dynamic-approx", "--epsilon=2.3e-16", "--seed", "1", str(path)])
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == ("error: line 2: weight class 7248263982714164 at eps 2.3e-16 "
+    assert proc.stderr == ("error: line 2: weight class 6997556141017829 at eps 2.3e-16 "
                            "is beyond the cap |i| <= 16384\n")
+
+
+def test_run_refuses_a_precision_too_large_to_scale_by(tmp_path):
+    # Scaling a weight by 10**100000000 does not finish: the run goes in a
+    # subprocess under a timeout.
+    path = tmp_path / "stream.txt"
+    path.write_text("H 4 1 100000000\nI 0 1 5\nQ\n")
+    proc = _main_isolated(["run", "--model", "dynamic", "--seed", "1", str(path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 1: precision 100000000 is above the cap of 1000\n"
 
 
 @pytest.mark.parametrize("delta", ["5e-324", "1e-320"])
@@ -368,6 +382,17 @@ def test_verify_and_run_on_a_hub_stream(tmp_path, capsys):
     assert main(["run", "--model", "dynamic", "--seed", "1", str(path)]) == 0
     weights = re.findall(r"^query \d+: weight=(\d+) ", capsys.readouterr().out, re.M)
     assert weights == [str(planted.weight)] * queries
+
+
+def test_run_and_verify_take_a_k_deeper_than_the_recursion_limit(tmp_path, capsys):
+    k = 1100
+    path = tmp_path / "disjoint.txt"
+    path.write_text(f"H {2 * k} {k} 0\n" + "".join(f"I {2 * i} {2 * i + 1} {i + 1}\n" for i in range(k)) + "Q\n")
+    weight = k * (k + 1) // 2
+    assert main(["run", "--model", "insert", "--delta", "0.5", "--seed", "1", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"query 1: weight={weight} edges: ({2 * k - 2},{2 * k - 1},{k}) ")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"query 1: oracle weight={weight} edges: ")
 
 
 def test_verify_well_formed(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import GridL0Sampler, enumerate_oracle, sweep_query
+from checks import GridL0Sampler, enumerate_oracle, run_isolated, sweep_query
 
 from streammatch.dynamic import (
     BankSampler,
@@ -78,6 +78,15 @@ def test_weight_class_beyond_float_range():
         i = weight_class(w, Fraction(1, 10))
         base = Fraction(11, 10)
         assert base ** (i - 1) < w <= base**i
+
+
+def test_weight_class_near_one_at_a_tiny_eps():
+    # Each step of the exact correction takes a power of 1 + eps with some
+    # 10^5 digits, so the float estimate must land on the class or next to it.
+    proc = run_isolated("from fractions import Fraction; from streammatch.dynamic import weight_class; "
+                        "print(weight_class(Fraction(10**13 + 36, 10**13), 2.3e-16))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "15653\n"
 
 
 def test_preprocess_examples():
@@ -336,6 +345,17 @@ def test_approx_mode_keys_and_weights():
     assert (u, v) == (0, 1)
     assert w == class_representative(weight_class(2, 0.5), 0.5)
     assert Fraction(2) <= w  # representative never understates
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_wclasses_maps_each_class_to_the_weight_query_reports(eps):
+    dm = DynamicMatcher(16, 3, random.Random(2), mode="approx" if eps else "exact", eps=eps)
+    edges = [(0, 1, 2), (2, 3, 7), (4, 5, 8)]
+    for u, v, w in edges:
+        dm.update(EdgeUpdate(u, v, w, True))
+    wc = {w: weight_class(w, eps) if eps else w for _u, _v, w in edges}
+    assert dm.wclasses == {c: class_representative(c, eps) if eps else c for c in wc.values()}
+    assert sorted(dm.query().edges) == [(u, v, dm.wclasses[wc[w]]) for u, v, w in edges]
 
 
 def test_approx_rejects_zero_weight():

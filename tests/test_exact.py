@@ -183,6 +183,12 @@ def test_hub_graph_query_time_bounded_by_k(k):
     assert elapsed < 2.0, f"k={k}: {elapsed:.2f} s on {len(edges)} edges"
 
 
+def test_k_deeper_than_the_recursion_limit():
+    edges = [(2 * i, 2 * i + 1, i + 1) for i in range(1100)]
+    got = solve_exact(edges, 1100)
+    assert got is not None and sorted(got.edges) == edges
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_monotone_in_edges(seed):

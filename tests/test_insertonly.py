@@ -178,8 +178,8 @@ def test_first_window_buffers_everything():
     edges = [(2 * i, 2 * i + 1, 5) for i in range(copy.window_len)]
     for e in edges:
         insert_update(copies, e)
-    assert copy.reduced_prev == ()
-    assert sorted(copy.view()) == sorted(edges)
+    assert not copy.reduced_prev
+    assert sorted(copy.prev_window + copy.cur_window) == sorted(edges)
 
 
 def test_short_stream_answer_equals_oracle_exactly():
