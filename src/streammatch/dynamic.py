@@ -26,14 +26,19 @@ gives.  The abstract space accounting still charges the full sketch.
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
 the bank at each query: the number of entries whose net vector is exactly
-{id}, per (id, weight class), and the "slow" entries, those holding two or
-more ids, each with its decoded outcome or None.  ``update`` moves entries
-between the two as their support size crosses 1 and 2, and resets a slow
-entry's outcome to None whenever it touches the entry.  A query reads the
-single edges straight off the index and decodes only the slow entries
-whose outcome is None, keeping each outcome until the entry is next
-touched; it costs O(distinct live edges + slow entries) instead of
-O(bank size), with the same answers and the same ``QueryStats``.
+{id}, per (u, v, weight class) of that id's edge, and the "slow" entries,
+those holding two or more ids, each with its decoded outcome or None.
+``update`` moves entries between the two as their support size crosses 1
+and 2, and resets a slow entry's outcome to None whenever it touches the
+entry.  A query reads the single edges straight off the index and decodes
+only the slow entries whose outcome is None, keeping each outcome until the
+entry is next touched; it costs O(distinct live edges + slow entries)
+instead of O(bank size), with the same answers and the same ``QueryStats``.
+
+A vertex's values (``key_indices``) and, in approx mode, a weight's class
+are computed once per matcher, on the first update that names them, and
+kept: family_size ints per vertex, fewer than the family_size^2 bank
+entries each update touches, so the memo stays small beside the bank.
 
 One DynamicMatcher per stream; single-owner mutation (a query writes
 only the outcomes it decodes); queries are repeatable.
@@ -198,26 +203,31 @@ class DynamicMatcher:
         self._bank_seed = rng.getrandbits(64)
         self.updates_applied = 0
         self.wclasses: dict = {}  # class -> reported weight (module docstring)
+        self._classes: dict = {}  # approx mode: weight -> class
+        self._values: dict[int, list[int]] = {}  # vertex -> key_indices(vertex)
         self.last_touched = 0
         self.last_query_stats = QueryStats()
         # The query index (module docstring): entries whose net vector is
-        # exactly {id}, counted per (id, weight class), and the slow entries,
-        # key -> decoded outcome, or None if not decoded since the last touch.
-        self._singles: dict[tuple[int, int], int] = {}
+        # exactly {id}, counted per (u, v, weight class) of that id's edge,
+        # and the slow entries, key -> decoded outcome, or None if not
+        # decoded since the last touch.
+        self._singles: dict[tuple[int, int, int], int] = {}
         self._slow: dict[tuple, object] = {}
 
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
             raise DomainError(f"vertex {upd.v} outside [0, {self.n})")
         if self.mode == "approx":
-            wc = weight_class(upd.w, self.eps)
-            if wc not in self.wclasses:
-                self.wclasses[wc] = class_representative(wc, self.eps)
+            wc = self._classes.get(upd.w)
+            if wc is None:
+                wc = self._classes[upd.w] = weight_class(upd.w, self.eps)
+                if wc not in self.wclasses:
+                    self.wclasses[wc] = class_representative(wc, self.eps)
         else:
             wc = upd.w
             self.wclasses[wc] = wc
-        values_u = key_indices(upd.u, self.scheme)
-        values_v = key_indices(upd.v, self.scheme)
+        values_u = self._values.get(upd.u) or self._vertex_values(upd.u)
+        values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
         ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
         bank = self.bank
@@ -227,10 +237,11 @@ class DynamicMatcher:
             for j in values_v:
                 key = (i, j, wc)
                 rec = bank.get(key)
-                if rec is None:
-                    assert i < self._range_size and j < self._range_size
-                    rec = BankSampler(derive_seed(self._bank_seed, i, j, wc))
-                    bank[key] = rec
+                if rec is None:  # 0 -> 1
+                    rec = bank[key] = BankSampler(derive_seed(self._bank_seed, i, j, wc))
+                    rec.net[ident] = count
+                    gained += 1
+                    continue
                 net = rec.net
                 before = len(net)
                 c = net.get(ident, 0) + count
@@ -243,19 +254,24 @@ class DynamicMatcher:
                     gained += after - before
                 elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
                     other = next(x for x in net if x != ident)
-                    self._count_single((other, wc), 1 if after == 1 else -1)
+                    self._count_single((*edge_from_id(other), wc), 1 if after == 1 else -1)
                 if after >= 2:
                     slow[key] = None  # changed, so decoded again at the next query
                 elif before >= 2:
                     del slow[key]
         if gained:
-            self._count_single((ident, wc), gained)
+            self._count_single((upd.u, upd.v, wc), gained)
         self.updates_applied += 1
         touched = len(values_u) * len(values_v)
         self.last_touched = touched
         self._assert_budgets(touched)
 
-    def _count_single(self, single: tuple[int, int], delta: int):
+    def _vertex_values(self, x: int) -> list[int]:
+        values = self._values[x] = key_indices(x, self.scheme)
+        assert all(i < self._range_size for i in values)
+        return values
+
+    def _count_single(self, single: tuple[int, int, int], delta: int):
         c = self._singles.get(single, 0) + delta
         if c:
             self._singles[single] = c
@@ -287,17 +303,14 @@ class DynamicMatcher:
                 res = slow[key] = self.bank[key].query(self.n_ids, self.delta)
             if isinstance(res, Sampled):
                 stats.sampled += 1
-                sampled.add((res.ident, key[2]))
+                sampled.add((*edge_from_id(res.ident), key[2]))
             elif res is EMPTY:
                 stats.empty += 1
             else:
                 stats.failed += 1
         self.last_query_stats = stats
-        edges = []
-        for ident, wc in sampled:
-            u, v = edge_from_id(ident)
-            edges.append((u, v, self.wclasses[wc]))
-        return solve_exact(edges, self.k)
+        wclasses = self.wclasses
+        return solve_exact([(u, v, wclasses[wc]) for u, v, wc in sampled], self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:

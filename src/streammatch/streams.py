@@ -202,6 +202,8 @@ def gen_planted(n: int, k: int, weights: int, m: int, del_rate: float, seed: int
         raise ParameterError(f"need k <= n/2, got k={k}, n={n}")
     if weights < 1:
         raise ParameterError(f"weights must be >= 1, got {weights}")
+    if m < 0:
+        raise ParameterError(f"m must be >= 0, got {m}")
     if not 0.0 <= del_rate <= 1.0:
         raise ParameterError(f"del_rate must lie in [0, 1], got {del_rate}")
     if model not in ("dynamic", "insert"):

@@ -417,5 +417,13 @@ def test_gen_infeasible(tmp_path):
     assert "# planted optimum: none" in text
 
 
+def test_gen_negative_m_errors(tmp_path, capsys):
+    out = tmp_path / "stream.txt"
+    assert main(["gen", "--n", "10", "--k", "2", "--weights", "3", "--m", "-5",
+                 "--seed", "1", "--infeasible", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: m must be >= 0")
+    assert not out.exists()
+
+
 def test_missing_file_errors(capsys):
     assert main(["verify", "/nonexistent/stream.txt"]) == 2

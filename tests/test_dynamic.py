@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,9 @@ def _assert_index(dm):
     for key, outcome in dm._slow.items():
         if outcome is not None:
             assert outcome == dm.bank[key].query(dm.n_ids, dm.delta), key
+    # Every entry whose net vector is exactly {id} counts once at its edge and class.
+    assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), wc)
+                                  for (_i, _j, wc), rec in dm.bank.items() if len(rec.net) == 1)
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):

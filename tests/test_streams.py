@@ -135,6 +135,9 @@ def test_gen_planted_validation():
         gen_planted(3, 2, 4, 40, 0.0, seed=1)
     with pytest.raises(ParameterError):
         gen_planted(20, 2, 4, 40, 0.5, seed=1, model="insert")
+    for k in (1, 2):  # both infeasible shapes: no edges (k=1) and a star
+        with pytest.raises(ParameterError):
+            gen_planted(10, k, 3, -5, 0.0, seed=1, feasible=False)
 
 
 def test_gen_planted_reproducible():
