@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 
 from .errors import ModelError, ParameterError, RecordError, StreamMatchError, StreamFormatError
 from .exact import is_valid_matching, solve_exact
@@ -80,20 +79,11 @@ def _read_stream_text(path: str) -> str:
         raise StreamFormatError(line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
 
 
-def _fmt_w(w, precision: int) -> str:
-    if isinstance(w, int):
-        return format_weight(w, precision)
-    try:
-        return f"{float(w):.6g}"
-    except OverflowError:  # a class representative beyond the float range
-        return f"{Decimal(w.numerator) / Decimal(w.denominator):.6g}"
-
-
 def _format_answer(answer, precision: int) -> str:
     if answer is None:
         return "no k-matching"
-    shown = " ".join(f"({u},{v},{_fmt_w(w, precision)})" for u, v, w in answer.edges)
-    return f"weight={_fmt_w(answer.weight, precision)} edges: {shown}"
+    shown = " ".join(f"({u},{v},{format_weight(w, precision)})" for u, v, w in answer.edges)
+    return f"weight={format_weight(answer.weight, precision)} edges: {shown}"
 
 
 def _cmd_run(args) -> int:
@@ -114,7 +104,7 @@ def _cmd_run(args) -> int:
     try:
         for query_no, answer in enumerate(replay(sf.records, matcher, truth), 1):
             print(f"query {query_no}: {_format_answer(answer, sf.precision)}")
-            if answer is not None and not is_valid_matching(answer, k, truth.live, matcher.mode):
+            if answer is not None and not is_valid_matching(answer, k, truth.live, matcher.eps):
                 print(f"one-sided violation at query {query_no}", file=sys.stderr)
                 violated = True
     except RecordError as exc:

@@ -9,12 +9,12 @@ deduplicates the sampled edges and extracts an exact maximum-weight
 k-matching from them; since every sampled edge is a real (inserted, not
 deleted) edge, the answer is one-sided: a k-matching is never fabricated.
 
-Exact mode keys samplers by the exact (scaled integer) weight.  Approx
-mode keys by the class index of the geometric rounding w -> (1+eps)^i
-with (1+eps)^(i-1) < w <= (1+eps)^i and reports the class representative
-(1+eps)^i as the edge weight, which is what bounds the weight loss of the
-returned matching by a factor (1-eps).  ``wclasses`` maps each class seen
-to the weight its edges report: the class, or in approx mode its representative.
+Exact mode (``eps`` None) keys samplers by the exact (scaled integer)
+weight.  Approx mode (``eps`` a Fraction) keys by the class index i of w,
+(1+eps)^(i-1) < w <= (1+eps)^i, and reports the class representative
+(1+eps)^i, which bounds the weight loss of the returned matching by a
+factor (1-eps).  ``wclasses`` maps each class seen to the weight its edges
+report: the class, or in approx mode its representative.
 
 A bank entry is its net update vector (id -> net count) and its seed,
 derived per key so that it does not depend on creation order.  To decode
@@ -191,8 +191,7 @@ class DynamicMatcher:
                 raise ParameterError(f"eps {float(eps)} is too small: 1 + eps rounds to 1.0")
         self.n = n
         self.k = k
-        self.mode = mode
-        self.eps = eps
+        self.eps = eps if mode == "approx" else None
         self.delta = 1.0 / (20.0 * k**4 * math.log(2 * k))
         self.scheme: HashScheme = build_scheme(n, 2 * k, rng)
         params = self.scheme.params
@@ -217,7 +216,7 @@ class DynamicMatcher:
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
             raise DomainError(f"vertex {upd.v} outside [0, {self.n})")
-        if self.mode == "approx":
+        if self.eps is not None:
             wc = self._classes.get(upd.w)
             if wc is None:
                 wc = self._classes[upd.w] = weight_class(upd.w, self.eps)

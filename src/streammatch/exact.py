@@ -37,6 +37,9 @@ The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
 each, one solve takes about 1.2 ms at k=4, 17 ms at k=5, 0.5-0.75 s at
 k=6 and 18 s at k=7 on a shared 2-core Xeon (ROADMAP item 5).
+
+``is_valid_matching``, the answer check of both pipelines, takes the
+matcher's ``eps``: None when every reported weight is exact.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ class Matching:
 
 
 def is_valid_matching(m: Matching, k: int, live: Mapping[tuple[int, int], int],
-                      mode: str = "exact") -> bool:
+                      eps=None) -> bool:
     """The one-sided answer check against the live graph ``live`` ((u, v) -> weight).
 
     Cardinality k, pairwise disjoint endpoints, every edge live, and each
-    reported weight equal to the live weight ("exact") or at least it
-    ("approx": a class representative rounds up).
+    reported weight equal to the live weight w, or with ``eps`` in
+    [w, (1+eps) w), where the class representative of w always lies.
     """
     if len(m.edges) != k:
         return False
@@ -85,7 +88,7 @@ def is_valid_matching(m: Matching, k: int, live: Mapping[tuple[int, int], int],
         seen.add(u)
         seen.add(v)
         true_w = live.get((u, v))
-        if true_w is None or (w != true_w if mode == "exact" else w < true_w):
+        if true_w is None or (w != true_w if eps is None else not true_w <= w < (1 + eps) * true_w):
             return False
     return True
 

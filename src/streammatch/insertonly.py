@@ -37,8 +37,8 @@ build from the worst-case charge total over an input of 2q edges, so the
 task is always complete when its window closes.
 
 ``InsertOnlyMatcher`` puts the copies behind the ``DynamicMatcher``
-interface (``update``, ``query``, ``mode``) through ``insert_update`` and
-``insert_query``.
+interface (``update``, ``query``, ``eps``, None: weights are exact)
+through ``insert_update`` and ``insert_query``.
 """
 
 from __future__ import annotations
@@ -203,10 +203,11 @@ def insert_update(copies: Sequence[CopyState], edge: Edge):
     u, v, w = edge
     if not 0 <= u < v:
         raise DomainError(f"edge endpoints must satisfy 0 <= u < v, got ({u}, {v})")
+    n = copies[0].n  # every copy is built for the same n
+    if v >= n:
+        raise DomainError(f"vertex {v} outside [0, {n})")
     for copy in copies:
-        if v >= copy.n:
-            raise DomainError(f"vertex {v} outside [0, {copy.n})")
-        copy.update((u, v, w))
+        copy.update(edge)
 
 
 def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
@@ -222,7 +223,7 @@ def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
 class InsertOnlyMatcher:
     """The insert-only pipeline behind the ``DynamicMatcher`` interface."""
 
-    mode = "exact"
+    eps = None
 
     def __init__(self, n: int, k: int, delta: float, rng: random.Random):
         self.k = k

@@ -49,10 +49,18 @@ def scale_weight(token: str, precision: int, line_no: int = 0) -> int:
     return int(whole) * 10**precision + int(frac.ljust(precision, "0") or "0")
 
 
-def format_weight(scaled: int, precision: int) -> str:
-    if precision == 0:
-        return str(scaled)
-    return f"{scaled // 10**precision}.{scaled % 10**precision:0{precision}d}"
+def format_weight(w, precision: int) -> str:
+    """w / 10**precision: exactly for a scaled int, else to six significant digits."""
+    if isinstance(w, int):
+        if precision == 0:
+            return str(w)
+        return f"{w // 10**precision}.{w % 10**precision:0{precision}d}"
+    x = w / 10**precision
+    if 2.0**-1022 <= x <= 1.7976931348623157e308:  # the normal floats, whose six digits hold
+        return f"{float(x):.6g}"
+    from decimal import Decimal  # kept out of the pipelines' imports: rarely needed
+
+    return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
 
 
 def _fields(text: str):

@@ -1,16 +1,16 @@
 """The stream driver and the Monte-Carlo trial runner.
 
-``make_matcher`` builds either pipeline behind one interface (``update``
-with an ``EdgeUpdate``, ``query``, ``mode``) and ``replay`` drives it over
+``make_matcher`` builds either pipeline behind one interface (``update``,
+``query``, ``eps``: None for exact weights) and ``replay`` drives it over
 a record list; ``cli run`` and the trial runner both go through them.
 
 Each trial draws a fresh planted stream and a fresh algorithm state from
 per-trial sub-seeds, replays the stream, and compares every query answer
 against the ground truth.  One-sided violations are structural, never
 statistical: a returned matching must be a genuine k-matching of the live
-graph (edges present, weights consistent with the mode, endpoints
-disjoint), and nothing may be returned when the live graph has no
-k-matching.
+graph (edges present, each weight the live weight or, under ``eps``, in
+[w, (1+eps)w), endpoints disjoint), and nothing may be returned when the
+live graph has no k-matching.
 
 The whole run is a pure function of (config, trials, seed).  Trials are
 fully independent (own stream, own state, own sub-seeds), so they could
@@ -20,7 +20,6 @@ run in parallel; this implementation runs them sequentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dynamic import DynamicMatcher, EdgeUpdate
 from .errors import ParameterError, RecordError, StreamMatchError
@@ -68,7 +67,7 @@ def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
     if model == "insert":
         return InsertOnlyMatcher(n, k, delta, rng)
     mode = "approx" if model == "dynamic-approx" else "exact"
-    return DynamicMatcher(n, k, rng, mode=mode, eps=eps if mode == "approx" else None)
+    return DynamicMatcher(n, k, rng, mode=mode, eps=eps)
 
 
 def replay(records, matcher, truth: GraphReplay):
@@ -86,7 +85,7 @@ def replay(records, matcher, truth: GraphReplay):
             raise RecordError(index, str(exc)) from exc
 
 
-def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, report: TrialReport):
+def _evaluate_query(config: TrialConfig, eps, answer, live: dict, opt, report: TrialReport):
     report.queries += 1
     has_matching = opt is not None
     if has_matching:
@@ -96,7 +95,7 @@ def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, rep
         return
 
     report.returned += 1
-    if not is_valid_matching(answer, config.k, live, mode) or not has_matching:
+    if not is_valid_matching(answer, config.k, live, eps) or not has_matching:
         # The structural check catches any fabrication, so a valid answer
         # on a stream without a k-matching means OPT was miscomputed.
         report.one_sided_violations += 1
@@ -106,14 +105,10 @@ def _evaluate_query(config: TrialConfig, mode: str, answer, live: dict, opt, rep
     if true_w > opt:
         report.one_sided_violations += 1
         return
-    if mode == "approx":
-        if Fraction(true_w) > (1 - Fraction(str(config.eps))) * opt:
-            report.within_eps += 1
-        if true_w == opt:
-            report.successes += 1
-    else:
-        if answer.weight == opt:
-            report.successes += 1
+    if eps is not None and true_w > (1 - eps) * opt:
+        report.within_eps += 1
+    if true_w == opt:
+        report.successes += 1
 
 
 def run_trials(config: TrialConfig, trials: int, seed: int) -> TrialReport:
@@ -130,7 +125,7 @@ def run_trials(config: TrialConfig, trials: int, seed: int) -> TrialReport:
         matcher = make_matcher(config.model, config.n, config.k, algo_rng, config.eps, config.delta)
         truth = GraphReplay()
         for answer in replay(sf.records, matcher, truth):
-            _evaluate_query(config, matcher.mode, answer, truth.live, opt, report)
+            _evaluate_query(config, matcher.eps, answer, truth.live, opt, report)
         if config.model != "insert":  # wclasses only grows, so its final size is the maximum
             report.distinct_weight_classes = max(report.distinct_weight_classes,
                                                  len(matcher.wclasses))

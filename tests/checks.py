@@ -307,7 +307,7 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
         if isinstance(res, Sampled):
             stats.sampled += 1
             u, v = edge_from_id(res.ident)
-            if matcher.mode == "approx":
+            if matcher.eps is not None:
                 if wc not in reps:
                     reps[wc] = class_representative(wc, matcher.eps)
                 w = reps[wc]

@@ -127,6 +127,19 @@ def test_run_approx_model_huge_weight(tmp_path, capsys):
     assert out.startswith("query 1: weight=1.") and "e+400 edges: (0,1,1." in out
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("H 4 1 2\nI 0 1 1.25\nQ\n", "query 1: weight=1.2913 edges: (0,1,1.2913)\n"),
+    # 7 * 10**-400 lies below the float range, and 3 * 10**400 as a scaled int above it.
+    (f"H 4 2 400\nI 0 1 0.{'0' * 399}7\nI 2 3 3\nQ\n",
+     "query 1: weight=3.2781 edges: (2,3,3.2781) (0,1,7.40025e-400)\n"),
+], ids=["precision-2", "precision-400"])
+def test_run_approx_prints_weights_on_the_stream_scale(tmp_path, capsys, text, expected):
+    path = tmp_path / "stream.txt"
+    path.write_text(text)
+    assert main(["run", "--model", "dynamic-approx", "--seed", "1", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("text, model, message", [
     ("H 4 1 0\nD 0 1 5\nQ\n", "dynamic", "error: line 2: deletion of dead edge (0, 1)"),
     ("H 4 1 0\nI 0 1 5\nI 0 1 5\nQ\n", "dynamic", "error: line 3: duplicate insertion of live edge (0, 1)"),
@@ -287,41 +300,59 @@ def _run_inputs(draw):
     return "\n".join(lines) + "\n", options
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
 @settings(max_examples=50, deadline=None)
-@given(_run_inputs())
-def test_run_input_contract(case):
+@given(case=_run_inputs())
+def test_run_input_contract(command, case):
     # Every input ends in exit 0 or 2, never a traceback; on exit 0 every
-    # answer is a set of vertex-disjoint edges live at its query.
+    # answer is a set of vertex-disjoint edges live at its query, each
+    # weight the live one, or for dynamic-approx within [w, (1+eps)w] up
+    # to the printed six digits; verify's last line counts the records.
     text, options = case
+    if command == "verify":
+        options = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "stream.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", *options, path])
+            code = main([command, *options, path])
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
         return
+    epsilons = [o.split("=", 1)[1] for o in options if o.startswith("--epsilon=")]
+    eps = Fraction((epsilons or ["0.1"])[-1]) if "dynamic-approx" in options else None
     answers = iter(out.getvalue().splitlines())
     live: dict = {}
+    records = queries = 0
     for fields in (line.split() for line in text.splitlines()):
         if fields[:1] in (["I"], ["D"]):
+            records += 1
             u, v = sorted(map(int, fields[1:3]))
             if fields[0] == "I":
                 live[(u, v)] = Fraction(fields[3])
             else:
                 del live[(u, v)]
         elif fields == ["Q"]:
+            records += 1
+            queries += 1
             answer = next(answers)
+            assert answer.startswith(f"query {queries}: " + ("oracle " if command == "verify" else "")), answer
             edges = [(int(u), int(v), Fraction(w)) for u, v, w in re.findall(r"\((\d+),(\d+),([^)]+)\)", answer)]
             assert answer.endswith("no k-matching") or edges, answer
             for u, v, w in edges:
                 assert (u, v) in live, answer
-                assert "dynamic-approx" in options or w == live[(u, v)], answer
+                if eps is None:
+                    assert w == live[(u, v)], answer
+                else:
+                    assert live[(u, v)] * (1 - Fraction(1, 10**5)) <= w, answer
+                    assert w <= (1 + eps) * live[(u, v)] * (1 + Fraction(1, 10**5)), answer
             ends = [x for u, v, _w in edges for x in (u, v)]
             assert len(ends) == len(set(ends)), answer
+    if command == "verify":
+        assert next(answers) == f"ok: {records} records, {queries} queries"
     assert next(answers, None) is None
 
 

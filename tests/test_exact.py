@@ -85,20 +85,23 @@ def test_returned_matchings_validate():
         if m is not None:
             assert is_valid_matching(m, 2, {(u, v): w for u, v, w in edges})
     live = {(0, 1): 5, (2, 3): 4, (1, 2): 7}
+    half = Fraction(1, 2)
     cases = [
-        # (answer edges, k, mode, valid)
-        (((0, 1, 5), (2, 3, 4)), 2, "exact", True),
-        (((0, 1, 5), (2, 3, 9)), 2, "exact", False),  # weight differs from the live weight
-        (((0, 1, 5), (2, 3, 3)), 2, "exact", False),
-        (((0, 1, Fraction(11, 2)), (2, 3, 4)), 2, "approx", True),  # representative above
-        (((0, 1, 5), (2, 3, Fraction(7, 2))), 2, "approx", False),  # below the live weight
-        (((0, 1, 5), (4, 5, 4)), 2, "exact", False),  # (4, 5) is not live
-        (((1, 2, 7), (0, 1, 5)), 2, "exact", False),  # vertex 1 shared
-        (((0, 1, 5),), 2, "exact", False),  # wrong cardinality
-        (((0, 1, 5), (2, 3, 4)), 1, "approx", False),
+        # (answer edges, k, eps, valid)
+        (((0, 1, 5), (2, 3, 4)), 2, None, True),
+        (((0, 1, 5), (2, 3, 9)), 2, None, False),  # weight differs from the live weight
+        (((0, 1, 5), (2, 3, 3)), 2, None, False),
+        (((0, 1, Fraction(11, 2)), (2, 3, 4)), 2, half, True),  # representative above
+        (((0, 1, 5), (2, 3, Fraction(7, 2))), 2, half, False),  # below the live weight
+        (((0, 1, Fraction(15, 2)), (2, 3, 4)), 2, half, False),  # (1 + eps) * live is excluded
+        (((0, 1, Fraction(15, 2) - Fraction(1, 10**9)), (2, 3, 4)), 2, half, True),  # just below it
+        (((0, 1, 5), (4, 5, 4)), 2, None, False),  # (4, 5) is not live
+        (((1, 2, 7), (0, 1, 5)), 2, None, False),  # vertex 1 shared
+        (((0, 1, 5),), 2, None, False),  # wrong cardinality
+        (((0, 1, 5), (2, 3, 4)), 1, half, False),
     ]
-    for edges, k, mode, valid in cases:
-        assert is_valid_matching(Matching(edges), k, live, mode) is valid, (edges, k, mode)
+    for edges, k, eps, valid in cases:
+        assert is_valid_matching(Matching(edges), k, live, eps) is valid, (edges, k, eps)
 
 
 def _hub_multigraph(rng, n, draws):
