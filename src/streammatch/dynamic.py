@@ -23,6 +23,14 @@ after the decode; the sampler is linear and its randomness comes only
 from the seed, so the outcome is the one a sampler updated from the start
 gives.  The abstract space accounting still charges the full sketch.
 
+Net vectors follow one ownership rule, so that most entries cost no dict
+of their own.  A vector with at most one id may be shared: every entry
+one update creates or refills from empty holds that update's one
+{id: count} dict, and every entry a deletion empties holds ``EMPTY_NET``.
+So such a vector is replaced, never changed in place.  A vector with two
+or more ids belongs to its entry and is changed in place; ``len(net) >= 2``
+tells the two cases apart.
+
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
 the bank at each query: the number of entries whose net vector is exactly
@@ -145,13 +153,22 @@ def class_representative(i: int, eps) -> Fraction:
     return (1 + _as_fraction(eps)) ** i
 
 
+# The net vector of every entry a deletion empties; never changed.
+EMPTY_NET: dict[int, int] = {}
+
+
 class BankSampler:
-    """One bank entry: its exact net update vector and its seed."""
+    """One bank entry: its exact net update vector and its seed.
+
+    ``net`` follows the module's ownership rule: with at most one id it may
+    be held by other entries too and is never changed in place; with two or
+    more ids it belongs to this entry alone.
+    """
 
     __slots__ = ("net", "seed")
 
-    def __init__(self, seed: int):
-        self.net: dict[int, int] = {}
+    def __init__(self, seed: int, net: dict[int, int]):
+        self.net = net
         self.seed = seed
 
     def query(self, n_ids: int, delta: float):
@@ -229,6 +246,7 @@ class DynamicMatcher:
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
         ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
+        fresh = {ident: count}  # shared by every entry this update creates or refills
         bank = self.bank
         slow = self._slow
         gained = 0  # change in the number of entries that are exactly {ident}
@@ -236,28 +254,36 @@ class DynamicMatcher:
             for j in values_v:
                 key = (i, j, wc)
                 rec = bank.get(key)
-                if rec is None:  # 0 -> 1
-                    rec = bank[key] = BankSampler(derive_seed(self._bank_seed, i, j, wc))
-                    rec.net[ident] = count
+                if rec is None:  # 0 -> 1, a new entry
+                    bank[key] = BankSampler(derive_seed(self._bank_seed, i, j, wc), fresh)
                     gained += 1
                     continue
                 net = rec.net
-                before = len(net)
-                c = net.get(ident, 0) + count
-                if c:
-                    net[ident] = c
-                else:
-                    del net[ident]
-                after = len(net)
-                if before + after == 1:  # 0 -> 1 or 1 -> 0
-                    gained += after - before
-                elif before + after == 3:  # 1 -> 2 or 2 -> 1: the other id moves
-                    other = next(x for x in net if x != ident)
-                    self._count_single((*edge_from_id(other), wc), 1 if after == 1 else -1)
-                if after >= 2:
-                    slow[key] = None  # changed, so decoded again at the next query
-                elif before >= 2:
-                    del slow[key]
+                if len(net) >= 2:  # the entry's own vector: changed in place
+                    c = net.get(ident, 0) + count
+                    if c:
+                        net[ident] = c
+                    else:
+                        del net[ident]
+                    if len(net) >= 2:
+                        slow[key] = None  # changed, so decoded again at the next query
+                    else:  # 2 -> 1: the other id becomes a single
+                        self._count_single((*edge_from_id(next(iter(net))), wc), 1)
+                        del slow[key]
+                elif not net:  # 0 -> 1, a refill
+                    rec.net = fresh
+                    gained += 1
+                else:  # one id, maybe shared: replaced, never changed
+                    ((other, c),) = net.items()
+                    if other != ident:  # 1 -> 2
+                        rec.net = {other: c, ident: count}
+                        self._count_single((*edge_from_id(other), wc), -1)
+                        slow[key] = None
+                    elif c + count:  # 1 -> 1
+                        rec.net = {ident: c + count}
+                    else:  # 1 -> 0
+                        rec.net = EMPTY_NET
+                        gained -= 1
         if gained:
             self._count_single((upd.u, upd.v, wc), gained)
         self.updates_applied += 1

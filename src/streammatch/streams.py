@@ -58,9 +58,10 @@ def format_weight(w, precision: int) -> str:
     x = w / 10**precision
     if 2.0**-1022 <= x <= 1.7976931348623157e308:  # the normal floats, whose six digits hold
         return f"{float(x):.6g}"
-    from decimal import Decimal  # kept out of the pipelines' imports: rarely needed
+    from decimal import Context, Decimal  # kept out of the pipelines' imports: rarely needed
 
-    return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
+    # Rounded to six digits with the trailing zeros stripped, as .6g prints a float.
+    return f"{(Decimal(x.numerator) / Decimal(x.denominator)).normalize(Context(prec=6)):g}"
 
 
 def _fields(text: str):

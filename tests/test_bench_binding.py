@@ -69,6 +69,25 @@ def test_dynamic_pass_without_a_two_id_entry():
     assert trace["partition.key_indices"]["calls"] == 3
 
 
+def test_dynamic_pass_counts_emptied_and_refilled_entries():
+    # (0, x) shares entries with (0, 1): deleting (0, 1) empties all of its
+    # entries, and inserting (0, x) refills the shared ones.  Emptied entries
+    # all hold one shared empty vector; the worker counts zero entries by
+    # ``not rec.net``, and its counts must be those of a direct matcher.
+    n = 600
+    dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
+    values_1 = set(key_indices(1, dm.scheme))
+    x = next(x for x in range(2, n) if values_1 & set(key_indices(x, dm.scheme)))
+    for v, insert in ((1, True), (1, False), (x, True)):
+        dm.update(EdgeUpdate(0, v, 3, insert))
+    zero_entries = sum(1 for rec in dm.bank.values() if not rec.net)
+    assert 0 < zero_entries < dm.last_touched < len(dm.bank) < 2 * dm.last_touched
+
+    out = _traced_pass({"kind": "dynamic"}, f"H {n} 1 0\nI 0 1 3\nD 0 1 3\nI 0 {x} 3\nQ\n")
+    bank = out["extra"]["bank"]
+    assert (bank["entries"], bank["zero_entries"]) == (len(dm.bank), zero_entries)
+
+
 def test_solver_input_is_every_live_edge():
     # At k=2 the kernel inside solve_exact keeps 3 of the hub's 6 spokes; the
     # counters must still record the whole edge set the query passes it.

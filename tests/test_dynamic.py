@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from checks import GridL0Sampler, enumerate_oracle, run_isolated, sweep_query
 
 from streammatch.dynamic import (
+    EMPTY_NET,
     BankSampler,
     DynamicMatcher,
     EdgeUpdate,
@@ -166,7 +168,7 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
     for trial in range(200):
         seed = rng.getrandbits(63)
         full = GridL0Sampler(n_ids, 0.05, random.Random(seed))
-        rec = BankSampler(seed)
+        rec = BankSampler(seed, {})
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)
             count = rng.choice((1, -1))
@@ -194,6 +196,30 @@ def _assert_index(dm):
     # Every entry whose net vector is exactly {id} counts once at its edge and class.
     assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), wc)
                                   for (_i, _j, wc), rec in dm.bank.items() if len(rec.net) == 1)
+    # Net vectors with at most one id may be shared, so they are never changed
+    # in place: EMPTY_NET stays empty, and no two entries hold one vector with
+    # two or more ids.
+    assert not EMPTY_NET
+    owned = [id(rec.net) for rec in dm.bank.values() if len(rec.net) >= 2]
+    assert len(set(owned)) == len(owned)
+
+
+def _assert_nets(dm, updates):
+    # Each entry's net vector is the sum of the updates that touched it, so a
+    # shared vector changed in place, which reaches every entry holding it, fails.
+    nets: dict = {}
+    for upd in updates:
+        wc = weight_class(upd.w, dm.eps) if dm.eps is not None else upd.w
+        ident = edge_id(upd.u, upd.v, dm.n)
+        for i in key_indices(upd.u, dm.scheme):
+            for j in key_indices(upd.v, dm.scheme):
+                net = nets.setdefault((i, j, wc), {})
+                c = net.get(ident, 0) + (1 if upd.insert else -1)
+                if c:
+                    net[ident] = c
+                else:
+                    del net[ident]
+    assert {key: rec.net for key, rec in dm.bank.items()} == nets
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):
@@ -229,7 +255,8 @@ def test_indexed_query_matches_full_sweep(mode):
     checks = decoded = 0
     for n in (600, 1500, 3000):
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode=mode, eps=eps)
-        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
+        updates = list(_churn_stream(n, 600, random.Random(n)))
+        for step, upd in enumerate(updates, 1):
             dm.update(upd)
             if step % 25 == 0:
                 answer, stats = sweep_query(dm)
@@ -238,6 +265,7 @@ def test_indexed_query_matches_full_sweep(mode):
                 _assert_index(dm)
                 decoded += len(dm._slow)
                 checks += 1
+        _assert_nets(dm, updates)
     assert checks >= 60
     assert decoded >= 1
 
@@ -269,6 +297,34 @@ def test_index_follows_entries_across_two_ids():
         _assert_index(dm)
         decoded += len(dm._slow)
     assert decoded >= 1
+
+
+def test_shared_net_vectors_are_replaced_not_changed():
+    # Every entry one update creates holds the same {id: count} dict, and every
+    # emptied entry holds EMPTY_NET.  Walk entries shared by (0, 1) and (0, x)
+    # through a count of 2 and through 2 -> 1 -> 0 -> 1 ids.
+    dm = DynamicMatcher(600, 1, random.Random(1))
+    values_1 = set(key_indices(1, dm.scheme))
+    x = next(x for x in range(2, 600) if values_1 & set(key_indices(x, dm.scheme)))
+    steps = [
+        (1, True), (1, True),  # a repeated insert: count 2 at every entry of (0, 1)
+        (x, True),  # the shared entries go 1 -> 2
+        (1, False), (1, False),  # 2 -> 2, then 2 -> 1: (0, x) alone
+        (x, False),  # 1 -> 0: every entry of (0, x) is emptied
+        (1, True),  # 0 -> 1: the shared entries are refilled
+        (x, True), (x, False),  # 1 -> 2 -> 1
+        (1, False),  # 1 -> 0
+    ]
+    updates = []
+    for v, insert in steps:
+        updates.append(EdgeUpdate(0, v, 3, insert))
+        dm.update(updates[-1])
+        _assert_nets(dm, updates)
+        _assert_index(dm)
+        answer, stats = sweep_query(dm)
+        assert dm.query() == answer
+        assert dm.last_query_stats == stats
+    assert all(rec.net is EMPTY_NET for rec in dm.bank.values())
 
 
 def test_changed_entry_is_decoded_again():
@@ -310,6 +366,30 @@ def test_changed_entry_is_decoded_again():
     dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
     assert dm._slow[key] is None
     check()
+
+
+def test_bank_memory_per_entry():
+    # A regression guard on what one bank entry costs in traced bytes, on a
+    # sparse stream whose deletions empty half the entries: about 200 B each
+    # while one-id vectors are shared, about 425 B with a dict per entry.
+    rng = random.Random(3)
+    n = 2000
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(200)})
+    dm = DynamicMatcher(n, 2, random.Random(3))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for insert, batch in ((True, pairs), (False, pairs[: len(pairs) // 2])):
+            for u, v in batch:
+                dm.update(EdgeUpdate(u, v, 1 + (u + v) % 3, insert))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 3 * sum(1 for rec in dm.bank.values() if not rec.net) >= len(dm.bank)
+    assert grown / len(dm.bank) <= 300
 
 
 def test_planted_instance_weight_23():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,19 @@ def test_parse_scales_weights():
     assert scale_weight("1.25", 2) == 125
     assert scale_weight("7", 3) == 7000
     assert format_weight(125, 2) == "1.25"
+
+
+@pytest.mark.parametrize("w, expected", [
+    (Fraction(10**400), "1e+400"),
+    (Fraction(1, 10**400), "1e-400"),
+    (Fraction(3, 2) * 10**400, "1.5e+400"),
+    (Fraction(7400254, 10**406), "7.40025e-400"),
+    (Fraction(1299999999, 10**409), "1.3e-400"),  # rounding up leaves no trailing zeros
+    (Fraction(3, 2), "1.5"),
+    (Fraction(0), "0"),
+])
+def test_format_weight_prints_like_a_float_beyond_its_range(w, expected):
+    assert format_weight(w, 0) == expected
 
 
 def test_parse_comments_and_blanks():
