@@ -16,20 +16,26 @@ weight.  Approx mode (``eps`` a Fraction) keys by the class index i of w,
 factor (1-eps).  ``wclasses`` maps each class seen to the weight its edges
 report: the class, or in approx mode its representative.
 
-A bank entry is its net update vector (id -> net count) and its seed,
-derived per key so that it does not depend on creation order.  To decode
-an entry, an ``L0Sampler`` is built from (seed, net vector) and dropped
-after the decode; the sampler is linear and its randomness comes only
-from the seed, so the outcome is the one a sampler updated from the start
-gives.  The abstract space accounting still charges the full sketch.
+A bank entry is keyed by one int, (slot*R + i)*R + j, for R =
+range_size and the slot of the weight class, numbered in order of first
+appearance; every vertex value is below R, so the key is injective, and
+``query`` reads an entry's class back from its slot, key // R^2.  An entry is
+its net update vector (id -> net count) and its seed, derived per key so
+that it does not depend on creation order and kept in ``_seeds``.  To
+decode an entry, an ``L0Sampler`` is built from (seed, net vector) and
+dropped after the decode; the sampler is linear and its randomness comes
+only from the seed, so the outcome is the one a sampler updated from the
+start gives.  The abstract space accounting still charges the full sketch.
 
-Net vectors follow one ownership rule, so that most entries cost no dict
-of their own.  A vector with at most one id may be shared: every entry
-one update creates or refills from empty holds that update's one
-{id: count} dict, and every entry a deletion empties holds ``EMPTY_NET``.
-So such a vector is replaced, never changed in place.  A vector with two
-or more ids belongs to its entry and is changed in place; ``len(net) >= 2``
-tells the two cases apart.
+Bank values follow one ownership rule, so that most entries own no object
+at all.  An entry with at most one id holds a ``BankSampler`` whose seed is
+None and which may be shared: every entry one update creates, refills or
+moves from {id: c} to {id: c'} holds that update's one holder (every entry
+of one edge and class holds the same count of its id), and every entry a
+deletion empties holds ``EMPTY_ENTRY``.  So such a holder is replaced,
+never changed.  Only an entry with two or more ids owns its
+``BankSampler``, with its seed, and changes its vector in place; it goes
+back to a holder when it falls to one id.
 
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
@@ -43,8 +49,8 @@ only the slow entries whose outcome is None, keeping each outcome until the
 entry is next touched; it costs O(distinct live edges + slow entries)
 instead of O(bank size), with the same answers and the same ``QueryStats``.
 
-A vertex's values (``key_indices``) and, in approx mode, a weight's class
-are computed once per matcher, on the first update that names them, and
+A vertex's values (``key_indices``) and a weight's class and slot are
+computed once per matcher, on the first update that names them, and
 kept: family_size ints per vertex, fewer than the family_size^2 bank
 entries each update touches, so the memo stays small beside the bank.
 
@@ -153,21 +159,18 @@ def class_representative(i: int, eps) -> Fraction:
     return (1 + _as_fraction(eps)) ** i
 
 
-# The net vector of every entry a deletion empties; never changed.
-EMPTY_NET: dict[int, int] = {}
-
-
 class BankSampler:
-    """One bank entry: its exact net update vector and its seed.
+    """A bank value: an exact net update vector and the seed that decodes it.
 
-    ``net`` follows the module's ownership rule: with at most one id it may
-    be held by other entries too and is never changed in place; with two or
-    more ids it belongs to this entry alone.
+    It follows the module's ownership rule: with at most one id it is a
+    holder, with seed None, that other entries may hold too, never changed
+    and never decoded; with two or more ids it belongs to one entry alone,
+    with that entry's seed, and its vector is changed in place.
     """
 
     __slots__ = ("net", "seed")
 
-    def __init__(self, seed: int, net: dict[int, int]):
+    def __init__(self, seed: int | None, net: dict[int, int]):
         self.net = net
         self.seed = seed
 
@@ -181,6 +184,10 @@ class BankSampler:
             for _ in range(abs(count)):
                 sketch.update(ident, step)
         return sketch
+
+
+# The value of every entry a deletion empties; never changed.
+EMPTY_ENTRY = BankSampler(None, {})
 
 
 @dataclass
@@ -214,12 +221,15 @@ class DynamicMatcher:
         params = self.scheme.params
         self._range_size = params.range_size
         self._pair_count = params.family_size * params.family_size
-        self.bank: dict[tuple, BankSampler] = {}
+        self.bank: dict[int, BankSampler] = {}  # key -> value (module docstring)
+        self._seeds: dict[int, int] = {}  # key -> seed
         self.n_ids = n * (n - 1) // 2
         self._bank_seed = rng.getrandbits(64)
         self.updates_applied = 0
         self.wclasses: dict = {}  # class -> reported weight (module docstring)
-        self._classes: dict = {}  # approx mode: weight -> class
+        self._slot_class: list = []  # slot -> class, in order of first appearance
+        self._class_slot: dict = {}  # class -> slot
+        self._slots: dict = {}  # weight -> slot of its class
         self._values: dict[int, list[int]] = {}  # vertex -> key_indices(vertex)
         self.last_touched = 0
         self.last_query_stats = QueryStats()
@@ -228,34 +238,35 @@ class DynamicMatcher:
         # and the slow entries, key -> decoded outcome, or None if not
         # decoded since the last touch.
         self._singles: dict[tuple[int, int, int], int] = {}
-        self._slow: dict[tuple, object] = {}
+        self._slow: dict[int, object] = {}
 
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
             raise DomainError(f"vertex {upd.v} outside [0, {self.n})")
-        if self.eps is not None:
-            wc = self._classes.get(upd.w)
-            if wc is None:
-                wc = self._classes[upd.w] = weight_class(upd.w, self.eps)
-                if wc not in self.wclasses:
-                    self.wclasses[wc] = class_representative(wc, self.eps)
-        else:
-            wc = upd.w
-            self.wclasses[wc] = wc
+        slot = self._slots.get(upd.w)
+        if slot is None:
+            slot = self._new_weight(upd.w)
+        wc = self._slot_class[slot]
         values_u = self._values.get(upd.u) or self._vertex_values(upd.u)
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
         ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
-        fresh = {ident: count}  # shared by every entry this update creates or refills
+        fresh = BankSampler(None, {ident: count})  # held by every entry this update creates or refills
+        moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}
         bank = self.bank
+        seeds = self._seeds
         slow = self._slow
+        r = self._range_size
+        base = slot * r
         gained = 0  # change in the number of entries that are exactly {ident}
         for i in values_u:
+            row = (base + i) * r
             for j in values_v:
-                key = (i, j, wc)
+                key = row + j
                 rec = bank.get(key)
                 if rec is None:  # 0 -> 1, a new entry
-                    bank[key] = BankSampler(derive_seed(self._bank_seed, i, j, wc), fresh)
+                    seeds[key] = derive_seed(self._bank_seed, i, j, wc)
+                    bank[key] = fresh
                     gained += 1
                     continue
                 net = rec.net
@@ -268,21 +279,24 @@ class DynamicMatcher:
                     if len(net) >= 2:
                         slow[key] = None  # changed, so decoded again at the next query
                     else:  # 2 -> 1: the other id becomes a single
+                        bank[key] = BankSampler(None, net)
                         self._count_single((*edge_from_id(next(iter(net))), wc), 1)
                         del slow[key]
                 elif not net:  # 0 -> 1, a refill
-                    rec.net = fresh
+                    bank[key] = fresh
                     gained += 1
                 else:  # one id, maybe shared: replaced, never changed
                     ((other, c),) = net.items()
                     if other != ident:  # 1 -> 2
-                        rec.net = {other: c, ident: count}
+                        bank[key] = BankSampler(seeds[key], {other: c, ident: count})
                         self._count_single((*edge_from_id(other), wc), -1)
                         slow[key] = None
-                    elif c + count:  # 1 -> 1
-                        rec.net = {ident: c + count}
+                    elif c + count:  # 1 -> 1; every entry of this edge and class holds c
+                        if moved is None:
+                            moved = BankSampler(None, {ident: c + count})
+                        bank[key] = moved
                     else:  # 1 -> 0
-                        rec.net = EMPTY_NET
+                        bank[key] = EMPTY_ENTRY
                         gained -= 1
         if gained:
             self._count_single((upd.u, upd.v, wc), gained)
@@ -290,6 +304,16 @@ class DynamicMatcher:
         touched = len(values_u) * len(values_v)
         self.last_touched = touched
         self._assert_budgets(touched)
+
+    def _new_weight(self, w) -> int:
+        """The slot of w's class, on the first update that names w."""
+        wc = w if self.eps is None else weight_class(w, self.eps)
+        if wc not in self._class_slot:
+            self._class_slot[wc] = len(self._slot_class)
+            self._slot_class.append(wc)
+            self.wclasses[wc] = wc if self.eps is None else class_representative(wc, self.eps)
+        slot = self._slots[w] = self._class_slot[wc]
+        return slot
 
     def _vertex_values(self, x: int) -> list[int]:
         values = self._values[x] = key_indices(x, self.scheme)
@@ -323,12 +347,13 @@ class DynamicMatcher:
         singles = sum(self._singles.values())
         stats = QueryStats(sampled=singles, empty=len(self.bank) - singles - len(self._slow))
         slow = self._slow
+        per_slot = self._range_size**2
         for key, res in slow.items():
             if res is None:
                 res = slow[key] = self.bank[key].query(self.n_ids, self.delta)
             if isinstance(res, Sampled):
                 stats.sampled += 1
-                sampled.add((*edge_from_id(res.ident), key[2]))
+                sampled.add((*edge_from_id(res.ident), self._slot_class[key // per_slot]))
             elif res is EMPTY:
                 stats.empty += 1
             else:

@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import streammatch
 from streammatch.dynamic import (
+    BankSampler,
     EdgeUpdate,
     QueryStats,
     abstract_sampler_words,
@@ -286,24 +287,41 @@ class GridL0Sampler:
         return EMPTY if all_zero else FAIL
 
 
+def bank_key(dm, i: int, j: int, wc) -> int:
+    """The bank key of entry (i, j) of weight class ``wc``; inverse of ``key_parts``."""
+    r = dm._range_size
+    return (dm._class_slot[wc] * r + i) * r + j
+
+
+def key_parts(dm, key: int) -> tuple:
+    """The (i, j, weight class) of a bank key."""
+    r = dm._range_size
+    rest, j = divmod(key, r)
+    slot, i = divmod(rest, r)
+    return i, j, dm._slot_class[slot]
+
+
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
     """Reference ``DynamicMatcher.query``: decode every bank entry once.
 
     A zero vector is EMPTY and a one-sparse vector decodes as its id (the
     full construction's exact outcomes); any other entry decodes a freshly
-    built sketch of its net vector, so the matcher is left untouched.
-    Returns the answer and the query stats.
+    built sketch of its net vector, with the seed derived from the key's
+    parts rather than read from the matcher, so the matcher is left
+    untouched.  Returns the answer and the query stats.
     """
     stats = QueryStats()
     edges: set = set()
     reps: dict = {}
-    for (_i, _j, wc), rec in matcher.bank.items():
+    for key, rec in matcher.bank.items():
+        i, j, wc = key_parts(matcher, key)
         if not rec.net:
             res = EMPTY
         elif len(rec.net) == 1:
             res = Sampled(next(iter(rec.net)))
         else:
-            res = rec.query(matcher.n_ids, matcher.delta)
+            seed = derive_seed(matcher._bank_seed, i, j, wc)
+            res = BankSampler(seed, rec.net).query(matcher.n_ids, matcher.delta)
         if isinstance(res, Sampled):
             stats.sampled += 1
             u, v = edge_from_id(res.ident)

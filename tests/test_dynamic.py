@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import GridL0Sampler, enumerate_oracle, run_isolated, sweep_query
+from checks import GridL0Sampler, bank_key, enumerate_oracle, key_parts, run_isolated, sweep_query
 
 from streammatch.dynamic import (
-    EMPTY_NET,
+    EMPTY_ENTRY,
     BankSampler,
     DynamicMatcher,
     EdgeUpdate,
@@ -23,6 +23,7 @@ from streammatch.dynamic import (
 from streammatch.errors import DomainError, ParameterError
 from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import key_indices
+from streammatch.seeds import derive_seed
 from streammatch.streams import GraphReplay, gen_planted
 
 
@@ -194,14 +195,24 @@ def _assert_index(dm):
         if outcome is not None:
             assert outcome == dm.bank[key].query(dm.n_ids, dm.delta), key
     # Every entry whose net vector is exactly {id} counts once at its edge and class.
-    assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), wc)
-                                  for (_i, _j, wc), rec in dm.bank.items() if len(rec.net) == 1)
+    assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), key_parts(dm, key)[2])
+                                  for key, rec in dm.bank.items() if len(rec.net) == 1)
     # Net vectors with at most one id may be shared, so they are never changed
-    # in place: EMPTY_NET stays empty, and no two entries hold one vector with
+    # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
     # two or more ids.
-    assert not EMPTY_NET
+    assert not EMPTY_ENTRY.net
     owned = [id(rec.net) for rec in dm.bank.values() if len(rec.net) >= 2]
     assert len(set(owned)) == len(owned)
+    _assert_owners(dm)
+
+
+def _assert_owners(dm):
+    # An entry owns its value, with the seed of its key, exactly when it holds
+    # two or more ids; every other value is a holder with seed None.
+    assert {key for key, rec in dm.bank.items() if rec.seed is not None} == dm._slow.keys()
+    for key in dm._slow:
+        assert dm.bank[key].seed == derive_seed(dm._bank_seed, *key_parts(dm, key)), key
+    assert len(dm._seeds) == len(dm.bank)
 
 
 def _assert_nets(dm, updates):
@@ -213,7 +224,7 @@ def _assert_nets(dm, updates):
         ident = edge_id(upd.u, upd.v, dm.n)
         for i in key_indices(upd.u, dm.scheme):
             for j in key_indices(upd.v, dm.scheme):
-                net = nets.setdefault((i, j, wc), {})
+                net = nets.setdefault(bank_key(dm, i, j, wc), {})
                 c = net.get(ident, 0) + (1 if upd.insert else -1)
                 if c:
                     net[ident] = c
@@ -324,7 +335,7 @@ def test_shared_net_vectors_are_replaced_not_changed():
         answer, stats = sweep_query(dm)
         assert dm.query() == answer
         assert dm.last_query_stats == stats
-    assert all(rec.net is EMPTY_NET for rec in dm.bank.values())
+    assert all(rec is EMPTY_ENTRY for rec in dm.bank.values())
 
 
 def test_changed_entry_is_decoded_again():
@@ -338,7 +349,6 @@ def test_changed_entry_is_decoded_again():
         for j in key_indices(v, dm.scheme):
             by_value.setdefault(j, []).append(v)
     j, (a, b, c) = next((j, vs[:3]) for j, vs in sorted(by_value.items()) if len(vs) >= 3)
-    key = (values_0[0], j, 3)
 
     def check():
         answer, stats = sweep_query(dm)
@@ -348,6 +358,7 @@ def test_changed_entry_is_decoded_again():
 
     for v in (a, b, c):
         dm.update(EdgeUpdate(0, v, 3, True))
+    key = bank_key(dm, values_0[0], j, 3)
     assert len(dm.bank[key].net) == 3
     check()
     first = dm._slow[key]
@@ -368,10 +379,48 @@ def test_changed_entry_is_decoded_again():
     check()
 
 
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_bank_entries_own_no_object(eps):
+    # Entries with at most one id hold one holder per update, or EMPTY_ENTRY;
+    # only an entry with two or more ids owns its value.
+    for n in (1500, 3000):
+        dm = DynamicMatcher(n, 2, random.Random(n + 1), mode="approx" if eps else "exact", eps=eps)
+        for upd in _churn_stream(n, 600, random.Random(n)):
+            dm.update(upd)
+        assert dm._slow  # these streams end with entries that own their values
+        assert len({id(rec) for rec in dm.bank.values()}) <= dm.updates_applied + len(dm._slow) + 1
+        _assert_owners(dm)
+
+
+@pytest.mark.parametrize("eps, weights", [(None, (1, 10**30)), (Fraction(1, 2), (Fraction(1, 3), 1, 5))],
+                         ids=["exact", "approx"])
+def test_bank_keys_are_injective(eps, weights):
+    # A huge exact weight, a negative approx class and the largest vertex
+    # value R - 1 each give their own keys, which decode back to their parts.
+    n = 600
+    dm = DynamicMatcher(n, 1, random.Random(1), mode="approx" if eps else "exact", eps=eps)
+    r = dm._range_size
+    x = next(x for x in range(n) if r - 1 in key_indices(x, dm.scheme))
+    parts = set()
+    for w in weights:
+        wc = weight_class(w, eps) if eps else w
+        for y in (0, 1, n - 1):
+            if y != x:
+                u, v = sorted((x, y))
+                dm.update(EdgeUpdate(u, v, w, True))
+                parts |= {(i, j, wc) for i in key_indices(u, dm.scheme) for j in key_indices(v, dm.scheme)}
+    assert min(dm.wclasses) < 0 if eps else max(dm.wclasses) == 10**30
+    assert any(r - 1 in (i, j) for i, j, _wc in parts)
+    assert {key_parts(dm, key) for key in dm.bank} == parts
+    assert len(dm.bank) == len(parts)
+    assert all(bank_key(dm, *key_parts(dm, key)) == key for key in dm.bank)
+
+
 def test_bank_memory_per_entry():
     # A regression guard on what one bank entry costs in traced bytes, on a
-    # sparse stream whose deletions empty half the entries: about 200 B each
-    # while one-id vectors are shared, about 425 B with a dict per entry.
+    # sparse stream whose deletions empty half the entries: about 169 B each
+    # while an entry with at most one id owns no object, about 203 B with a
+    # BankSampler and a key tuple per entry, about 425 B with a dict as well.
     rng = random.Random(3)
     n = 2000
     pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(200)})
@@ -389,7 +438,7 @@ def test_bank_memory_per_entry():
         if not tracing:
             tracemalloc.stop()
     assert 3 * sum(1 for rec in dm.bank.values() if not rec.net) >= len(dm.bank)
-    assert grown / len(dm.bank) <= 300
+    assert grown / len(dm.bank) <= 185
 
 
 def test_planted_instance_weight_23():
