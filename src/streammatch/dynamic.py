@@ -44,10 +44,17 @@ the bank at each query: the number of entries whose net vector is exactly
 those holding two or more ids, each with its decoded outcome or None.
 ``update`` moves entries between the two as their support size crosses 1
 and 2, and resets a slow entry's outcome to None whenever it touches the
-entry.  A query reads the single edges straight off the index and decodes
-only the slow entries whose outcome is None, keeping each outcome until the
-entry is next touched; it costs O(distinct live edges + slow entries)
-instead of O(bank size), with the same answers and the same ``QueryStats``.
+entry.  The index also keeps the singles' keys in order: ``_order`` holds
+each as (class, u, v), ascending, and changes only when a single's count
+crosses 0 (a bisect and a list insert or delete).  A query reads the single
+edges straight off the index and decodes only the slow entries whose outcome
+is None, keeping each outcome until the entry is next touched; it costs
+O(distinct live edges + slow entries) instead of O(bank size), with the same
+answers and the same ``QueryStats``.  Class order is reported-weight order
+in both modes, so ``reversed(_order)`` gives the single edges key-descending;
+a query appends the slow entries' samples that are not singles, and the
+solver's sort of that input is one linear pass over the singles, not a
+sort of the live graph.
 
 A vertex's values (``key_indices``) and a weight's class and slot are
 computed once per matcher, on the first update that names them, and
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -236,9 +244,11 @@ class DynamicMatcher:
         # The query index (module docstring): entries whose net vector is
         # exactly {id}, counted per (u, v, weight class) of that id's edge,
         # and the slow entries, key -> decoded outcome, or None if not
-        # decoded since the last touch.
+        # decoded since the last touch; and the keys of ``_singles`` as
+        # (class, u, v), ascending.
         self._singles: dict[tuple[int, int, int], int] = {}
         self._slow: dict[int, object] = {}
+        self._order: list[tuple] = []
 
     def update(self, upd: EdgeUpdate):
         if upd.v >= self.n:
@@ -321,11 +331,16 @@ class DynamicMatcher:
         return values
 
     def _count_single(self, single: tuple[int, int, int], delta: int):
-        c = self._singles.get(single, 0) + delta
+        u, v, wc = single
+        old = self._singles.get(single, 0)
+        c = old + delta
         if c:
             self._singles[single] = c
+            if not old:
+                insort(self._order, (wc, u, v))
         else:
             del self._singles[single]
+            del self._order[bisect_left(self._order, (wc, u, v))]
 
     def _assert_budgets(self, touched: int):
         pair_count = self._pair_count
@@ -343,24 +358,31 @@ class DynamicMatcher:
         decoded only if it changed since its last decode.  Repeatable:
         back-to-back queries agree.
         """
-        sampled = set(self._singles)
-        singles = sum(self._singles.values())
-        stats = QueryStats(sampled=singles, empty=len(self.bank) - singles - len(self._slow))
+        singles = self._singles
+        n_singles = sum(singles.values())
+        stats = QueryStats(sampled=n_singles, empty=len(self.bank) - n_singles - len(self._slow))
         slow = self._slow
         per_slot = self._range_size**2
+        extra = set()  # sampled edges that are not singles
         for key, res in slow.items():
             if res is None:
                 res = slow[key] = self.bank[key].query(self.n_ids, self.delta)
             if isinstance(res, Sampled):
                 stats.sampled += 1
-                sampled.add((*edge_from_id(res.ident), self._slot_class[key // per_slot]))
+                edge = (*edge_from_id(res.ident), self._slot_class[key // per_slot])
+                if edge not in singles:
+                    extra.add(edge)
             elif res is EMPTY:
                 stats.empty += 1
             else:
                 stats.failed += 1
         self.last_query_stats = stats
         wclasses = self.wclasses
-        return solve_exact([(u, v, wclasses[wc]) for u, v, wc in sampled], self.k)
+        # Class order is reported-weight order, so the singles come key-descending
+        # and the solver's sort of them is one linear pass.
+        edges = [(u, v, wclasses[wc]) for wc, u, v in reversed(self._order)]
+        edges += [(u, v, wclasses[wc]) for u, v, wc in extra]
+        return solve_exact(edges, self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:

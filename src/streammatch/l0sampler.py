@@ -24,6 +24,13 @@ verifies, in repetition-major order; ``EMPTY`` on the zero vector (all
 sums are zero); ``FAIL`` when some sum is nonzero but no cell verifies.
 A one-sparse vector always decodes at repetition 0, level 0.
 
+A cell's random values (a, b, z) are drawn exactly as ``randrange`` would
+draw them from the caller's rng, at ``getrandbits`` cost: one draw of
+width.bit_length() bits, repeated while it is not below the width.  So a
+seed gives the cells it gave through ``randrange`` and leaves the rng in
+the same state.  The field prime depends only on the domain size and is
+computed once per size.
+
 A sampler is single-owner mutable state; distinct samplers are
 independent.  Queries never mutate.
 """
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, ParameterError
 from .field_hash import next_prime
@@ -83,6 +91,18 @@ def levels_for(n: int) -> int:
     return (n - 1).bit_length() + 1
 
 
+@lru_cache(maxsize=64)
+def _field_prime(n: int) -> int:
+    """The prime of the subsampling field for the domain [0, n).
+
+    The field must be far larger than the domain: with p close to n the
+    map a*x+b is a near-permutation of [p], so the number of ids admitted
+    at level l is essentially fixed at p/2^l and deep levels are almost
+    never one-sparse.
+    """
+    return next_prime(max(n, 1 << 31))
+
+
 class L0Sampler:
     """Sampler over the domain [0, n) with failure parameter delta."""
 
@@ -94,18 +114,27 @@ class L0Sampler:
         self.n = n
         self.reps = repetitions_for(delta)
         self.levels = levels_for(n)
-        # The subsampling field must be far larger than the domain: with
-        # p close to n the map a*x+b is a near-permutation of [p], so the
-        # number of ids admitted at level l is essentially fixed at p/2^l
-        # and deep levels are almost never one-sparse.
-        p = next_prime(max(n, 1 << 31))
+        p = _field_prime(n)
         # (a, b, 2^level, z) per cell, repetition-major; the draw order fixes
-        # the cells a seed gives.
-        self._cells = [
-            (rng.randrange(1, p), rng.randrange(p), 1 << level, rng.randrange(1, FINGERPRINT_PRIME))
-            for _ in range(self.reps)
-            for level in range(self.levels)
-        ]
+        # the cells a seed gives.  a, b and z are randrange(1, p), randrange(p)
+        # and randrange(1, FINGERPRINT_PRIME), drawn as randrange draws them.
+        getrandbits = rng.getrandbits
+        wa, wz = p - 1, FINGERPRINT_PRIME - 1
+        ka, kb, kz = wa.bit_length(), p.bit_length(), wz.bit_length()
+        cells = []
+        for _ in range(self.reps):
+            for level in range(self.levels):
+                a = getrandbits(ka)
+                while a >= wa:
+                    a = getrandbits(ka)
+                b = getrandbits(kb)
+                while b >= p:
+                    b = getrandbits(kb)
+                z = getrandbits(kz)
+                while z >= wz:
+                    z = getrandbits(kz)
+                cells.append((a + 1, b, 1 << level, z + 1))
+        self._cells = cells
         self._p = p
         self.net: dict[int, int] = {}
 

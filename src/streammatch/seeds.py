@@ -17,12 +17,9 @@ import random
 
 
 def derive_seed(master: int, *path) -> int:
-    h = hashlib.sha256()
-    h.update(str(master).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    # One message, one hash: "%s" formats each part as str() does.
+    message = str(master) + "/%s" * len(path) % path
+    return int.from_bytes(hashlib.sha256(message.encode()).digest()[:8], "big")
 
 
 def spawn_rng(master: int, *path) -> random.Random:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from checks import GridL0Sampler, bank_key, enumerate_oracle, key_parts, run_isolated, sweep_query
 
+from streammatch import dynamic
 from streammatch.dynamic import (
     EMPTY_ENTRY,
     BankSampler,
@@ -21,6 +22,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
+from streammatch.exact import edge_key, solve_exact
 from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
@@ -197,6 +199,8 @@ def _assert_index(dm):
     # Every entry whose net vector is exactly {id} counts once at its edge and class.
     assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), key_parts(dm, key)[2])
                                   for key, rec in dm.bank.items() if len(rec.net) == 1)
+    # ``_order`` holds the singles' keys as (class, u, v), ascending.
+    assert dm._order == sorted((wc, u, v) for u, v, wc in dm._singles)
     # Net vectors with at most one id may be shared, so they are never changed
     # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
     # two or more ids.
@@ -260,11 +264,12 @@ def _churn_stream(n: int, length: int, rng: random.Random):
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_indexed_query_matches_full_sweep(mode):
-    # At these sizes some bank entries become two-or-more-sparse, so the
-    # index moves entries in and out of its slow set and queries decode them.
+    # At each of these sizes some bank entries become two-or-more-sparse, so
+    # the index moves entries in and out of its slow set and queries decode them.
     eps = Fraction(1, 2) if mode == "approx" else None
-    checks = decoded = 0
-    for n in (600, 1500, 3000):
+    checks = 0
+    for n in (700, 1500, 3000):
+        decoded = 0
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode=mode, eps=eps)
         updates = list(_churn_stream(n, 600, random.Random(n)))
         for step, upd in enumerate(updates, 1):
@@ -277,8 +282,8 @@ def test_indexed_query_matches_full_sweep(mode):
                 decoded += len(dm._slow)
                 checks += 1
         _assert_nets(dm, updates)
+        assert decoded >= 1, n
     assert checks >= 60
-    assert decoded >= 1
 
 
 def test_index_follows_entries_across_two_ids():
@@ -377,6 +382,39 @@ def test_changed_entry_is_decoded_again():
     dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
     assert dm._slow[key] is None
     check()
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_slow_samples_join_the_singles_once(eps, monkeypatch):
+    # Every entry of (0, x) is shared with an edge (0, y), so (0, x) is no
+    # single and reaches the solver only as a slow entry's sample, while the
+    # other slow samples are edges (0, y) that are singles too.  The solver
+    # gets each sampled edge once, the singles first and key-descending.
+    n = 600
+    dm = DynamicMatcher(n, 1, random.Random(1), mode="approx" if eps else "exact", eps=eps)
+    by_value: dict[int, list[int]] = {}
+    for y in range(1, n):
+        for j in key_indices(y, dm.scheme):
+            by_value.setdefault(j, []).append(y)
+    x = next(x for x in range(1, n) if all(len(by_value[j]) >= 2 for j in key_indices(x, dm.scheme)))
+    others = {next(y for y in by_value[j] if y != x) for j in key_indices(x, dm.scheme)}
+    for u, v, w in [(0, x, 3)] + [(0, y, 3) for y in sorted(others)] + [(2, 3, 5), (4, 5, 1), (6, 7, 5)]:
+        dm.update(EdgeUpdate(u, v, w, True))
+    assert (0, x) not in {(u, v) for u, v, _wc in dm._singles}
+    inputs = []
+    monkeypatch.setattr(dynamic, "solve_exact", lambda edges, k: inputs.append(edges) or solve_exact(edges, k))
+    answer, stats = sweep_query(dm)
+    assert dm.query() == answer
+    assert dm.last_query_stats == stats
+    _assert_index(dm)
+    samples = {edge_from_id(res.ident) for res in dm._slow.values() if isinstance(res, Sampled)}
+    assert (0, x) in samples
+    assert samples & {(u, v) for u, v, _wc in dm._singles}
+    (edges,) = inputs
+    head = edges[: len(dm._order)]
+    assert head == sorted(head, key=edge_key, reverse=True)
+    assert len(edges) == len(set(edges)) == len(dm._singles) + 1
+    assert edges[-1] == (0, x, dm.wclasses[weight_class(3, eps) if eps else 3])
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
