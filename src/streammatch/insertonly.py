@@ -11,7 +11,9 @@ hash and maintains, with window length q = k(16k-1):
   the still-filling window, together at most 2q;
 * a resumable ``ReduceTask`` that recomputes the next reduced subgraph
   over (reduced_prev, prev_window), staggered over the q updates of the
-  current window under a fixed per-update operation budget.
+  current window under a fixed per-update operation budget.  The task
+  also holds the part pair of each reduced_prev edge: at most q pairs
+  beside reduced_prev, so the copy's space is still O(k^2).
 
 The reduction keeps, of the compact subgraph (heaviest edge per part
 pair, intra-part edges dropped), only edges ranking at most 8k on BOTH
@@ -30,9 +32,15 @@ sees the just-reduced subgraph plus the previous window, a subset of the
 raw three-window view that still contains the full reduction of the
 whole prefix.
 
+A raw edge is hashed once per copy, when the task over its window scans
+it.  The fresh task is handed the part pairs of the completed task's
+output with it, so a kept edge's pair rides with it from window to
+window and the drain reads pairs from its heap entries.
+
 Every task charge is a deterministic function of the input size, never
 of edge values: scanning an edge costs a fixed amount and each heap
-push/pop costs 1 + ceil(log2(cap+1)).  The budget is derived once per
+push/pop costs 1 + ceil(log2(cap+1)).  A task step is one loop over
+charged items, resumed once per update.  The budget is derived once per
 build from the worst-case charge total over an input of 2q edges, so the
 task is always complete when its window closes.
 
@@ -48,7 +56,7 @@ import random
 from typing import Callable, Sequence
 
 from .errors import DomainError, ModelError, ParameterError
-from .exact import Edge, Matching, edge_key, solve_exact
+from .exact import Edge, Matching, solve_exact
 from .field_hash import UniversalHash, universal_draw
 from .l0sampler import repetitions_for
 
@@ -58,10 +66,6 @@ PartFn = Callable[[int], int]
 def window_length(k: int) -> int:
     """q = k(16k - 1)."""
     return k * (16 * k - 1)
-
-
-def _pair_key(pu: int, pv: int) -> tuple[int, int]:
-    return (pu, pv) if pu < pv else (pv, pu)
 
 
 def _heap_charge(capacity: int) -> int:
@@ -83,70 +87,123 @@ def task_budget(k: int) -> int:
 class ReduceTask:
     """Resumable reduction over a frozen input, stepped under an op budget.
 
-    ``step(budget)`` performs at most budget + O(log q) charged operations
-    and is resumable; the completed ``result`` is bit-identical to the
-    monolithic reference reduction in ``tests/checks.py`` on the same
-    input.
+    The input is ``head`` (the previous reduced subgraph) with
+    ``head_pairs``, the part pair of each head edge, followed by ``tail``
+    (a raw window).  Only tail endpoints are hashed, once each; a head
+    edge's pair is read from ``head_pairs``, and the heap carries each
+    compact edge's pair to the rank filter, so the drain hashes nothing.
+    The task ends with ``result``, the reduced edges, and ``pairs``,
+    where ``pairs[i]`` is the part pair of ``result[i]``.
+
+    ``step(budget)`` is one resume of one loop over the charged items: it
+    takes items while the charge spent in this step is below ``budget``,
+    charging each after doing it, so it performs at most budget + O(log q)
+    charged operations.  The step that finds the end sets ``done``, and
+    may return 0; step only while not ``done``.  The completed ``result``
+    is bit-identical to the monolithic reference reduction in
+    ``tests/checks.py`` on the same input.
     """
 
-    def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
+    def __init__(self, head: Sequence[Edge], head_pairs: Sequence[tuple[int, int]],
+                 tail: Sequence[Edge], part_of: PartFn, k: int):
         self.done = False
         self.result: list[Edge] | None = None
+        self.pairs: list[tuple[int, int]] | None = None
         self.workspace = 0  # edges held in the task's own containers
-        self._gen = self._run(head, tail, part_of, k)
+        self._gen = self._run(head, head_pairs, tail, part_of, k)
+        next(self._gen)  # run to the yield that takes the first budget
 
     def step(self, budget: int) -> int:
-        spent = 0
-        while spent < budget and not self.done:
-            try:
-                spent += next(self._gen)
-            except StopIteration:
-                self.done = True
-        return spent
+        try:
+            return self._gen.send(budget)
+        except StopIteration as stop:
+            self.done = True
+            return stop.value
 
-    def _run(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
+    def _run(self, head, head_pairs, tail, part_of: PartFn, k: int):
+        # Before each item: if this step's charge has reached its budget,
+        # record the workspace and yield the charge; resume with the next
+        # step's budget.
         cap = 8 * k
         q = window_length(k)
         best: dict[tuple[int, int], Edge] = {}
+        budget = yield
+        spent = 0
 
-        for source in (head, tail):
-            for e in source:
-                u, v, _w = e
-                pu, pv = part_of(u), part_of(v)
-                if pu != pv:
-                    key = _pair_key(pu, pv)
-                    cur = best.get(key)
-                    if cur is None or edge_key(e) > edge_key(cur):
-                        best[key] = e
+        for e, pair in zip(head, head_pairs, strict=True):
+            if spent >= budget:
                 self.workspace = len(best)
-                yield 3
+                budget = yield spent
+                spent = 0
+            if pair[0] != pair[1]:
+                cur = best.get(pair)
+                if cur is None or (e[2], e[0], e[1]) > (cur[2], cur[0], cur[1]):
+                    best[pair] = e
+            spent += 3
+        for e in tail:
+            if spent >= budget:
+                self.workspace = len(best)
+                budget = yield spent
+                spent = 0
+            u, v, w = e
+            pu = part_of(u)
+            pv = part_of(v)
+            if pu != pv:
+                pair = (pu, pv) if pu < pv else (pv, pu)
+                cur = best.get(pair)
+                if cur is None or (w, u, v) > (cur[2], cur[0], cur[1]):
+                    best[pair] = e
+            spent += 3
+        self.workspace = len(best)
 
         heap_charge = _heap_charge(max(len(best), 1))
         heap: list = []
+        push = heapq.heappush
         # Edges only move from best to heap here: workspace stays as it is.
-        while best:
-            _key, e = best.popitem()
-            heapq.heappush(heap, ((-e[2], -e[0], -e[1]), e))
-            yield heap_charge
-        yield 1
+        # Keys are distinct, so a heap comparison never reaches the pair.
+        for pair, e in best.items():
+            if spent >= budget:
+                budget = yield spent
+                spent = 0
+            push(heap, ((-e[2], -e[0], -e[1]), pair, e))
+            spent += heap_charge
+        if spent >= budget:
+            budget = yield spent
+            spent = 0
+        spent += 1
 
         counts: dict[int, int] = {}
         out: list[Edge] = []
+        pairs: list[tuple[int, int]] = []
+        pop = heapq.heappop
         while heap and len(out) < q:
-            _negkey, e = heapq.heappop(heap)
-            pu, pv = part_of(e[0]), part_of(e[1])
+            if spent >= budget:
+                self.workspace = len(heap) + len(out)
+                budget = yield spent
+                spent = 0
+            _negkey, pair, e = pop(heap)
+            pu, pv = pair
             ru = counts.get(pu, 0) + 1
             rv = counts.get(pv, 0) + 1
             counts[pu] = ru
             counts[pv] = rv
             if ru <= cap and rv <= cap:
                 out.append(e)
+                pairs.append(pair)
+            spent += heap_charge
+        if spent >= budget:
             self.workspace = len(heap) + len(out)
-            yield heap_charge
-
+            budget = yield spent
+            spent = 0
         self.result = out
+        self.pairs = pairs
         self.workspace = len(out)
-        yield 1
+        spent += 1
+
+        if spent >= budget:
+            yield spent
+            spent = 0
+        return spent
 
 
 class CopyState:
@@ -161,7 +218,7 @@ class CopyState:
         self.reduced_prev: Sequence[Edge] = ()
         self.prev_window: list[Edge] = []
         self.cur_window: list[Edge] = []
-        self.task = ReduceTask(self.reduced_prev, self.prev_window, f, k)
+        self.task = ReduceTask(self.reduced_prev, (), self.prev_window, f, k)
         self.max_update_ops = 0
         self.max_stored_edges = 0
 
@@ -170,11 +227,12 @@ class CopyState:
         self.cur_window.append(edge)
         ops += 1
         if len(self.cur_window) == self.window_len:
-            assert self.task.done, "reduce task must finish within its window"
-            self.reduced_prev = self.task.result
+            finished = self.task
+            assert finished.done, "reduce task must finish within its window"
+            self.reduced_prev = finished.result
             self.prev_window = self.cur_window
             self.cur_window = []
-            self.task = ReduceTask(self.reduced_prev, self.prev_window, self.f, self.k)
+            self.task = ReduceTask(self.reduced_prev, finished.pairs, self.prev_window, self.f, self.k)
             ops += 2
         if ops > self.max_update_ops:
             self.max_update_ops = ops

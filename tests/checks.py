@@ -1,5 +1,6 @@
 """Shared exhaustive checkers and reference implementations used by the tests."""
 
+import heapq
 import itertools
 import os
 import random
@@ -20,7 +21,7 @@ from streammatch.dynamic import (
 from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import Edge, Matching, _sorted_desc, edge_key, solve_exact
 from streammatch.field_hash import next_prime
-from streammatch.insertonly import PartFn, _pair_key, task_budget, window_length
+from streammatch.insertonly import PartFn, _heap_charge, task_budget, window_length
 from streammatch.l0sampler import EMPTY, FAIL, FINGERPRINT_PRIME, Sampled, levels_for, repetitions_for
 from streammatch.partition import HashScheme, SchemeParams, key_indices, scaled_ln_ceil
 from streammatch.seeds import derive_seed, spawn_rng
@@ -157,6 +158,79 @@ def isolation_witness(s: set[int], scheme: HashScheme) -> WitnessReport:
         indices.extend(base + h(x) for x in keys)
     assert len(set(indices)) == len(s), "witness indices must be pairwise distinct"
     return WitnessReport(part_sizes_ok, True, tuple(indices))
+
+
+def _pair_key(pu: int, pv: int) -> tuple[int, int]:
+    return (pu, pv) if pu < pv else (pv, pu)
+
+
+class ReferenceReduceTask:
+    """Reference ``ReduceTask``: one generator resume per charged item.
+
+    It hashes every endpoint, head edges and drain included, and charges
+    exactly what ``insertonly.ReduceTask`` charges, so the two agree on
+    every step's return value, on the step where ``done`` flips, on
+    ``workspace`` between steps and on ``result``.
+    """
+
+    def __init__(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
+        self.done = False
+        self.result: list[Edge] | None = None
+        self.workspace = 0  # edges held in the task's own containers
+        self._gen = self._run(head, tail, part_of, k)
+
+    def step(self, budget: int) -> int:
+        spent = 0
+        while spent < budget and not self.done:
+            try:
+                spent += next(self._gen)
+            except StopIteration:
+                self.done = True
+        return spent
+
+    def _run(self, head: Sequence[Edge], tail: Sequence[Edge], part_of: PartFn, k: int):
+        cap = 8 * k
+        q = window_length(k)
+        best: dict[tuple[int, int], Edge] = {}
+
+        for source in (head, tail):
+            for e in source:
+                u, v, _w = e
+                pu, pv = part_of(u), part_of(v)
+                if pu != pv:
+                    key = _pair_key(pu, pv)
+                    cur = best.get(key)
+                    if cur is None or edge_key(e) > edge_key(cur):
+                        best[key] = e
+                self.workspace = len(best)
+                yield 3
+
+        heap_charge = _heap_charge(max(len(best), 1))
+        heap: list = []
+        # Edges only move from best to heap here: workspace stays as it is.
+        while best:
+            _key, e = best.popitem()
+            heapq.heappush(heap, ((-e[2], -e[0], -e[1]), e))
+            yield heap_charge
+        yield 1
+
+        counts: dict[int, int] = {}
+        out: list[Edge] = []
+        while heap and len(out) < q:
+            _negkey, e = heapq.heappop(heap)
+            pu, pv = part_of(e[0]), part_of(e[1])
+            ru = counts.get(pu, 0) + 1
+            rv = counts.get(pv, 0) + 1
+            counts[pu] = ru
+            counts[pv] = rv
+            if ru <= cap and rv <= cap:
+                out.append(e)
+            self.workspace = len(heap) + len(out)
+            yield heap_charge
+
+        self.result = out
+        self.workspace = len(out)
+        yield 1
 
 
 def compact(edges: Iterable[Edge], part_of: PartFn, k: int) -> list[Edge]:

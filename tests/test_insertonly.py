@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
-from checks import compact, enumerate_oracle, max_nice_matching, reduced_compact
+from checks import ReferenceReduceTask, _pair_key, compact, enumerate_oracle, max_nice_matching, reduced_compact
 
+from streammatch import insertonly
 from streammatch.errors import ModelError, ParameterError
 from streammatch.exact import solve_exact
 from streammatch.insertonly import (
@@ -37,6 +39,10 @@ def test_copies_for():
 
 def _mod_parts(r):
     return lambda v: v % r
+
+
+def _pairs_of(edges, part_of):
+    return [_pair_key(part_of(u), part_of(v)) for u, v, _w in edges]
 
 
 def test_compact_all_distinct_parts_keeps_everything():
@@ -120,7 +126,7 @@ def test_task_matches_monolithic_reduction():
         edges = [(u, v, rng.randint(1, 30)) for u, v in chosen]
         f = universal_draw(25, 4 * k * k, rng)
         cut = rng.randint(0, len(edges))
-        task = ReduceTask(edges[:cut], edges[cut:], f, k)
+        task = ReduceTask(edges[:cut], _pairs_of(edges[:cut], f), edges[cut:], f, k)
         budget = task_budget(k)
         steps = ops_done = 0
         while not task.done:
@@ -150,10 +156,92 @@ def test_task_matches_monolithic_reduction_when_rank_cap_binds():
     want = reduced_compact(edges, part_of, k)
     assert sum(1 for e in want if e[0] == 0) == 8 * k
     for cut in (0, len(edges) // 2, len(edges)):
-        task = ReduceTask(edges[:cut], edges[cut:], part_of, k)
+        task = ReduceTask(edges[:cut], _pairs_of(edges[:cut], part_of), edges[cut:], part_of, k)
         while not task.done:
             task.step(task_budget(k))
         assert task.result == want
+
+
+def _step_trace(task, budget):
+    steps = []
+    while not task.done:
+        steps.append((task.step(budget), task.done, task.workspace))
+    return steps, task.result
+
+
+def _oracle_inputs():
+    """(k, part_of, head, tail): random edges over few vertices, so heads and
+    tails repeat vertex pairs and part pairs and hold intra-part edges."""
+    rng = random.Random(34)
+    cases = []
+    for k in (1, 2, 3):
+        q = window_length(k)
+        n = 3 * 4 * k * k
+        f = universal_draw(n, 4 * k * k, rng)
+        for n_head, n_tail in ((0, 0), (0, q), (q, 0), (q // 2, 2 * q), (q, q), (q, 2 * q)):
+            edges = []
+            for _ in range(n_head + n_tail):
+                u, v = sorted(rng.sample(range(n), 2))
+                edges.append((u, v, rng.randint(1, 6)))
+            cases.append((k, f, edges[:n_head], edges[n_head:]))
+    # k = 3 hub: the 8k rank cap rejects edges of the hub's part
+    hub = [(0, v, 100 + v) for v in range(1, 36)]
+    cases.append((3, _mod_parts(36), hub[:20], hub[20:] + [(36, 72, 5), (37, 73, 5)]))
+    return cases
+
+
+def test_task_steps_like_reference():
+    # Every step's (spent, done, workspace) and the result equal the
+    # per-item reference's, at every budget from 1 to twice the real one,
+    # and pairs[i] is the part pair of result[i].
+    intra = {"head": 0, "tail": 0}
+    for k, part_of, head, tail in _oracle_inputs():
+        for name, edges in (("head", head), ("tail", tail)):
+            intra[name] += sum(1 for u, v, _w in edges if part_of(u) == part_of(v))
+        for budget in range(1, 2 * task_budget(k) + 1):
+            task = ReduceTask(head, _pairs_of(head, part_of), tail, part_of, k)
+            got = _step_trace(task, budget)
+            want = _step_trace(ReferenceReduceTask(head, tail, part_of, k), budget)
+            assert got == want, (k, len(head), len(tail), budget)
+            assert task.pairs == _pairs_of(task.result, part_of)
+    assert intra["head"] > 0 and intra["tail"] > 0
+
+
+def test_copy_hashes_each_raw_edge_once(monkeypatch):
+    # A raw edge's endpoints are hashed once, when its window is scanned;
+    # a kept edge's pair rides into the next task, which hashes no head edge.
+    k = 2
+    rng = random.Random(8)
+    f = universal_draw(60, 4 * k * k, rng)
+    calls = []
+
+    def part_of(v):
+        calls.append(v)
+        return f(v)
+
+    heads = []  # (head, head_pairs) of every task the copy starts
+
+    class RecordingTask(ReduceTask):
+        def __init__(self, head, head_pairs, tail, part_of, k):
+            heads.append((head, head_pairs))
+            super().__init__(head, head_pairs, tail, part_of, k)
+
+    monkeypatch.setattr(insertonly, "ReduceTask", RecordingTask)
+    copy = CopyState(60, k, part_of)
+    q = copy.window_len
+    pairs = rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 7 * q)
+    edges = [(u, v, rng.randint(1, 9)) for u, v in pairs]
+    for i, e in enumerate(edges, 1):
+        copy.update(e)
+        if i % q == 0:
+            windows = i // q
+            scanned = edges[:(windows - 1) * q]
+            assert Counter(calls) == Counter(x for u, v, _w in scanned for x in (u, v))
+            assert len(heads) == windows + 1
+            head, head_pairs = heads[-1]
+            assert head is copy.reduced_prev
+            assert list(head_pairs) == _pairs_of(copy.reduced_prev, f)
+    assert len(copy.reduced_prev) > 0
 
 
 def test_preprocess_validation():
