@@ -1,7 +1,8 @@
 """Sketch-based maximum-weight k-matching over dynamic edge streams.
 
-Preprocessing hashes the n vertices through a two-level scheme built for
-subsets of size 2k.  Every stream element (uv, w, op) touches exactly
+Preprocessing draws a two-level hashing scheme for subsets of size 2k;
+each vertex is hashed through it when it first appears in the stream,
+and its values are kept.  Every stream element (uv, w, op) touches exactly
 family_size^2 samplers: one l0-sampler per pair (i, j) drawn from the value sets
 of u and v, keyed additionally by the edge's weight class.  Samplers are
 created lazily on first touch.  A query samples each bank entry once,

@@ -10,7 +10,11 @@ Two constructions, both over finite fields:
   less than the independence order, evaluated by Horner's rule, with the
   low ``out_bits`` bits of the field element as output.  Taking low-order
   bits of a uniform GF(2^w) element preserves exact t-wise independence,
-  unlike truncating a prime-field value mod a power of two.
+  unlike truncating a prime-field value mod a power of two.  For
+  w <= ``gf2.TABLE_WIDTH`` each Horner step multiplies through the
+  field's log/antilog tables (``gf2.log_tables``, built on the first call
+  at that width); wider fields multiply with ``gf2.gf_mul``.  Both give
+  the same field element.
 
 Hash objects are immutable after drawing and safe to share between
 threads; the caller owns the rng used for drawing.
@@ -22,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
-from .gf2 import MAX_WIDTH, gf_mul
+from .gf2 import MAX_WIDTH, TABLE_WIDTH, gf_mul, log_tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -113,15 +117,27 @@ class KWiseHash:
         width = max(self.in_bits, self.out_bits)
         if width > MAX_WIDTH:
             raise ParameterError(f"field width {width} exceeds supported maximum {MAX_WIDTH}")
+        if not self.coeffs or not all(0 <= c < (1 << width) for c in self.coeffs):
+            raise ParameterError(f"coefficients must be elements of GF(2^{width}), got {self.coeffs}")
         object.__setattr__(self, "width", width)
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < (1 << self.in_bits):
             raise DomainError(f"key {x} is not a {self.in_bits}-bit string")
-        acc = 0
         w = self.width
-        for c in reversed(self.coeffs):
-            acc = gf_mul(acc, x, w) ^ c
+        if w > TABLE_WIDTH:
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = gf_mul(acc, x, w) ^ c
+        elif x:
+            # acc * x is exp[log acc + log x] for nonzero acc, and 0 otherwise.
+            log, exp = log_tables(w)
+            lx = log[x]
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        else:
+            acc = self.coeffs[0]
         return acc & ((1 << self.out_bits) - 1)
 
 

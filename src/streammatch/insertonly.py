@@ -17,9 +17,10 @@ hash and maintains, with window length q = k(16k-1):
 
 The reduction keeps, of the compact subgraph (heaviest edge per part
 pair, intra-part edges dropped), only edges ranking at most 8k on BOTH
-incident parts, and of those the q heaviest.  A query unions
-reduced_prev with the raw windows across all copies and solves exactly;
-the union is a subgraph of the true graph, so answers are one-sided.
+incident parts, and of those the q heaviest.  A query unions every
+copy's reduced_prev with the raw windows, which all copies share, and
+solves exactly; the union is a subgraph of the true graph, so answers
+are one-sided.
 Copies are independent and each copy is single-owner mutable state;
 queries take a read-only snapshot.
 
@@ -269,12 +270,16 @@ def insert_update(copies: Sequence[CopyState], edge: Edge):
 
 
 def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
-    """Union the copies' subgraphs (deduplicated) and solve exactly."""
-    edges = set()
+    """Union the copies' subgraphs (deduplicated) and solve exactly.
+
+    Every copy sees the same updates and rotates at the same ones, so all
+    copies hold the same raw windows: they are read from the first copy.
+    """
+    first = copies[0]
+    edges = set(first.prev_window)
+    edges.update(first.cur_window)
     for copy in copies:
         edges.update(copy.reduced_prev)
-        edges.update(copy.prev_window)
-        edges.update(copy.cur_window)
     return solve_exact(edges, k)
 
 

@@ -20,7 +20,8 @@ from streammatch.dynamic import (
 )
 from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import Edge, Matching, _sorted_desc, edge_key, solve_exact
-from streammatch.field_hash import next_prime
+from streammatch.field_hash import KWiseHash, next_prime
+from streammatch.gf2 import gf_mul
 from streammatch.insertonly import PartFn, _heap_charge, task_budget, window_length
 from streammatch.l0sampler import EMPTY, FAIL, FINGERPRINT_PRIME, Sampled, levels_for, repetitions_for
 from streammatch.partition import HashScheme, SchemeParams, key_indices, scaled_ln_ceil
@@ -38,6 +39,14 @@ def run_isolated(code: str, timeout: float = 15) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(streammatch.__file__)))
     return subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
                           capture_output=True, text=True, timeout=timeout)
+
+
+def reference_kwise(h: KWiseHash, x: int) -> int:
+    """h(x) by Horner's rule through ``gf_mul``, whatever h's width."""
+    acc = 0
+    for c in reversed(h.coeffs):
+        acc = gf_mul(acc, x, h.width) ^ c
+    return acc & ((1 << h.out_bits) - 1)
 
 
 def interval_violations(scheme, u_size):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from checks import reference_kwise
+
 from streammatch.errors import DomainError, ParameterError
 from streammatch.field_hash import (
     KWiseHash,
@@ -150,3 +152,26 @@ def test_kwise_domain_error():
     h = kwise_draw(2, 4, 2, random.Random(0))
     with pytest.raises(DomainError):
         h(16)
+
+
+@pytest.mark.parametrize("w", [6, 9, 15, 16, 17, 32])
+def test_kwise_equals_reference_horner(w):
+    # 6..16 multiply through log tables, 17 and 32 through gf_mul.
+    rng = random.Random(w)
+    for in_bits, out_bits in ((w, 3), (w, w), (4, w)):
+        h = kwise_draw(17, in_bits, out_bits, rng)
+        assert h.width == w
+        top = (1 << in_bits) - 1
+        keys = [0, 1, top] + [rng.getrandbits(in_bits) for _ in range(300)]
+        for x in keys:
+            assert h(x) == reference_kwise(h, x), (in_bits, out_bits, x)
+    zero_tail = KWiseHash(coeffs=(5, 0, 0, 1), in_bits=w, out_bits=w)
+    for x in (0, 1, 2, (1 << w) - 1):
+        assert zero_tail(x) == reference_kwise(zero_tail, x)
+
+
+def test_kwise_coefficients_must_be_field_elements():
+    with pytest.raises(ParameterError):
+        KWiseHash(coeffs=(16,), in_bits=4, out_bits=2)
+    with pytest.raises(ParameterError):
+        KWiseHash(coeffs=(), in_bits=4, out_bits=2)

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from streammatch.gf2 import MAX_WIDTH, clmul, gf_mul, is_irreducible, reduction_poly
+from streammatch.errors import ParameterError
+from streammatch.gf2 import (
+    MAX_WIDTH,
+    TABLE_WIDTH,
+    clmul,
+    gf_mul,
+    is_irreducible,
+    log_tables,
+    reduction_poly,
+)
 
 
 def test_clmul_hand_values():
@@ -80,3 +89,49 @@ def test_nonzero_products_nonzero():
     for a in range(1, 16):
         for b in range(1, 16):
             assert gf_mul(a, b, w) != 0
+
+
+def _table_mul(a, b, w):
+    log, exp = log_tables(w)
+    return exp[log[a] + log[b]] if a and b else 0
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_table_product_equals_gf_mul_for_every_pair(w):
+    for a in range(1 << w):
+        for b in range(1 << w):
+            assert _table_mul(a, b, w) == gf_mul(a, b, w), (a, b)
+
+
+@pytest.mark.parametrize("w", range(9, TABLE_WIDTH + 1))
+def test_table_product_equals_gf_mul_random_pairs(w):
+    rng = random.Random(w)
+    top = (1 << w) - 1
+    pairs = [(a, b) for a in (0, 1, top) for b in (0, 1, top)]
+    pairs += [(rng.getrandbits(w), rng.getrandbits(w)) for _ in range(10_000)]
+    pairs += [(rng.choice((0, 1)), rng.getrandbits(w)) for _ in range(100)]
+    for a, b in pairs:
+        assert _table_mul(a, b, w) == gf_mul(a, b, w), (a, b)
+        assert _table_mul(b, a, w) == gf_mul(a, b, w), (b, a)
+
+
+@pytest.mark.parametrize("w", range(1, TABLE_WIDTH + 1))
+def test_log_tables_invert_and_generator_has_full_order(w):
+    log, exp = log_tables(w)
+    order = (1 << w) - 1
+    g = exp[1]
+    assert len(log) == 1 << w and len(exp) == 2 * order
+    assert all(exp[log[a]] == a for a in range(1, 1 << w))
+    # g's powers step by gf_mul and cover every nonzero element once.
+    assert exp[0] == 1
+    assert all(exp[i + 1] == gf_mul(exp[i], g, w) for i in range(2 * order - 1))
+    assert sorted(exp[:order]) == list(range(1, order + 1))
+    assert gf_mul(exp[order - 1], g, w) == 1
+
+
+def test_log_tables_memoised_and_bounded():
+    assert log_tables(9) is log_tables(9)
+    assert log_tables(15)[1][1] == 2  # x itself generates GF(2^15)
+    for w in (0, TABLE_WIDTH + 1):
+        with pytest.raises(ParameterError):
+            log_tables(w)

@@ -324,6 +324,28 @@ def test_query_is_one_sided():
     assert set(ans.edges) <= inserted
 
 
+def test_copies_share_raw_windows_and_query_reads_them_once():
+    # Copies rotate on the same updates, so their raw windows stay equal and
+    # the query's union equals the union over every copy's three containers.
+    rng = random.Random(12)
+    copies = insert_preprocess(60, 2, 1 / 16, rng)
+    assert len(copies) == 4
+    first = copies[0]
+    pairs = rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 700)
+    for i, (u, v) in enumerate(pairs):
+        insert_update(copies, (u, v, rng.randint(1, 9)))
+        for copy in copies:
+            assert copy.prev_window == first.prev_window
+            assert copy.cur_window == first.cur_window
+        if i % 20 == 0:
+            union = set()
+            for copy in copies:
+                union.update(copy.reduced_prev)
+                union.update(copy.prev_window)
+                union.update(copy.cur_window)
+            assert insert_query(copies, 2) == solve_exact(union, 2)
+
+
 def test_empty_stream_query():
     copies = insert_preprocess(16, 2, 0.5, random.Random(0))
     assert insert_query(copies, 2) is None

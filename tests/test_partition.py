@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -101,6 +102,20 @@ def test_determinism_same_seed_same_scheme():
     s2 = build_scheme(256, 4, random.Random(5))
     assert s1 == s2
     assert all(key_indices(x, s1) == key_indices(x, s2) for x in range(256))
+
+
+@pytest.mark.parametrize("u_size,keys,digest", [
+    # w = 15: the part function multiplies through GF(2^15) log tables
+    (20000, range(20000), "db4362700fe72f32cc6e41bc3fc9f3f652f71e95da1923bd93e23f1cfde1bd1d"),
+    # w = 20: the part function multiplies with gf_mul
+    (1 << 20, range(0, 1 << 20, 53), "35d2c59c3d2cff2d1fa07b95ce9d2a47c06be712a26c40294236de6adbd117e0"),
+])
+def test_key_indices_digest_pinned(u_size, keys, digest):
+    # Pins every value set of one seeded scheme, so a faster field
+    # multiply cannot silently change which indices a key maps to.
+    scheme = build_scheme(u_size, 4, random.Random(3))
+    text = ";".join(",".join(map(str, key_indices(x, scheme))) for x in keys)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_collect_preimages_membership_counts():
