@@ -28,7 +28,8 @@ import sys
 from .errors import ModelError, ParameterError, RecordError, StreamMatchError, StreamFormatError
 from .exact import is_valid_matching, solve_exact
 from .seeds import spawn_rng
-from .streams import GraphReplay, format_weight, gen_planted, parse_stream, record_line, render_stream
+from .streams import (GraphReplay, format_weight, gen_planted, parse_stream, record_line, render_stream,
+                      split_lines)
 from .trials import MODELS, make_matcher, replay
 
 EXIT_OK = 0
@@ -74,8 +75,8 @@ def _read_stream_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The line parse_stream's splitlines() would put the bad byte on.
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        # The line parse_stream would put the bad byte on.
+        line_no = len(split_lines(data[:exc.start].decode("utf-8")))
         raise StreamFormatError(line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
 
 

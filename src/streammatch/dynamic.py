@@ -17,26 +17,25 @@ weight.  Approx mode (``eps`` a Fraction) keys by the class index i of w,
 factor (1-eps).  ``wclasses`` maps each class seen to the weight its edges
 report: the class, or in approx mode its representative.
 
-A bank entry is keyed by one int, (slot*R + i)*R + j, for R =
-range_size and the slot of the weight class, numbered in order of first
-appearance; every vertex value is below R, so the key is injective, and
-``query`` reads an entry's class back from its slot, key // R^2.  An entry is
-its net update vector (id -> net count) and its seed, derived per key so
-that it does not depend on creation order and kept in ``_seeds``.  To
-decode an entry, an ``L0Sampler`` is built from (seed, net vector) and
-dropped after the decode; the sampler is linear and its randomness comes
-only from the seed, so the outcome is the one a sampler updated from the
-start gives.  The abstract space accounting still charges the full sketch.
+A bank entry is keyed by one int, (slot*R + i)*R + j, for R = range_size
+and the slot of the weight class, numbered in order of first appearance;
+every vertex value is below R, so the key is injective, and ``query``
+reads an entry's class back from its slot, key // R^2.  An entry's value
+is its net update vector (id -> net count); its seed, derived per key so
+that it does not depend on creation order, is kept once, in ``_seeds``.  A
+decode builds an ``L0Sampler`` from the seed in ``_seeds`` and the net
+vector and drops it afterwards; the sampler is linear and its randomness
+comes only from the seed, so the outcome is the one a sampler updated from
+the start gives.  The abstract space accounting still charges the full
+sketch.
 
-Bank values follow one ownership rule, so that most entries own no object
-at all.  An entry with at most one id holds a ``BankSampler`` whose seed is
-None and which may be shared: every entry one update creates, refills or
-moves from {id: c} to {id: c'} holds that update's one holder (every entry
-of one edge and class holds the same count of its id), and every entry a
-deletion empties holds ``EMPTY_ENTRY``.  So such a holder is replaced,
-never changed.  Only an entry with two or more ids owns its
-``BankSampler``, with its seed, and changes its vector in place; it goes
-back to a holder when it falls to one id.
+Bank values follow one rule, so that most entries own no object at all.  A
+value with at most one id may be shared, so it is replaced, never changed:
+every entry one update creates, refills or moves from {id: c} to {id: c'}
+holds that update's one value (every entry of one edge and class holds the
+same count of its id), and every entry a deletion empties holds
+``EMPTY_ENTRY``.  A value with two or more ids belongs to one entry and is
+changed in place.
 
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
@@ -169,25 +168,18 @@ def class_representative(i: int, eps) -> Fraction:
 
 
 class BankSampler:
-    """A bank value: an exact net update vector and the seed that decodes it.
+    """A bank value: an exact net update vector (id -> net count).  With at
+    most one id it may be shared and is replaced, never changed; with two or
+    more ids it belongs to one entry.  A decode takes the entry's seed from
+    ``DynamicMatcher._seeds``."""
 
-    It follows the module's ownership rule: with at most one id it is a
-    holder, with seed None, that other entries may hold too, never changed
-    and never decoded; with two or more ids it belongs to one entry alone,
-    with that entry's seed, and its vector is changed in place.
-    """
+    __slots__ = ("net",)
 
-    __slots__ = ("net", "seed")
-
-    def __init__(self, seed: int | None, net: dict[int, int]):
+    def __init__(self, net: dict[int, int]):
         self.net = net
-        self.seed = seed
 
-    def query(self, n_ids: int, delta: float):
-        return self._materialize(n_ids, delta).query()
-
-    def _materialize(self, n_ids: int, delta: float) -> L0Sampler:
-        sketch = L0Sampler(n_ids, delta, random.Random(self.seed))
+    def _materialize(self, seed: int, n_ids: int, delta: float) -> L0Sampler:
+        sketch = L0Sampler(n_ids, delta, random.Random(seed))
         for ident, count in self.net.items():
             step = 1 if count > 0 else -1
             for _ in range(abs(count)):
@@ -196,7 +188,7 @@ class BankSampler:
 
 
 # The value of every entry a deletion empties; never changed.
-EMPTY_ENTRY = BankSampler(None, {})
+EMPTY_ENTRY = BankSampler({})
 
 
 @dataclass
@@ -262,10 +254,9 @@ class DynamicMatcher:
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
         ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
-        fresh = BankSampler(None, {ident: count})  # held by every entry this update creates or refills
+        fresh = BankSampler({ident: count})  # held by every entry this update creates or refills
         moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}
         bank = self.bank
-        seeds = self._seeds
         slow = self._slow
         r = self._range_size
         base = slot * r
@@ -276,7 +267,7 @@ class DynamicMatcher:
                 key = row + j
                 rec = bank.get(key)
                 if rec is None:  # 0 -> 1, a new entry
-                    seeds[key] = derive_seed(self._bank_seed, i, j, wc)
+                    self._seeds[key] = derive_seed(self._bank_seed, i, j, wc)
                     bank[key] = fresh
                     gained += 1
                     continue
@@ -290,7 +281,6 @@ class DynamicMatcher:
                     if len(net) >= 2:
                         slow[key] = None  # changed, so decoded again at the next query
                     else:  # 2 -> 1: the other id becomes a single
-                        bank[key] = BankSampler(None, net)
                         self._count_single((*edge_from_id(next(iter(net))), wc), 1)
                         del slow[key]
                 elif not net:  # 0 -> 1, a refill
@@ -299,12 +289,12 @@ class DynamicMatcher:
                 else:  # one id, maybe shared: replaced, never changed
                     ((other, c),) = net.items()
                     if other != ident:  # 1 -> 2
-                        bank[key] = BankSampler(seeds[key], {other: c, ident: count})
+                        bank[key] = BankSampler({other: c, ident: count})
                         self._count_single((*edge_from_id(other), wc), -1)
                         slow[key] = None
                     elif c + count:  # 1 -> 1; every entry of this edge and class holds c
                         if moved is None:
-                            moved = BankSampler(None, {ident: c + count})
+                            moved = BankSampler({ident: c + count})
                         bank[key] = moved
                     else:  # 1 -> 0
                         bank[key] = EMPTY_ENTRY
@@ -367,7 +357,8 @@ class DynamicMatcher:
         extra = set()  # sampled edges that are not singles
         for key, res in slow.items():
             if res is None:
-                res = slow[key] = self.bank[key].query(self.n_ids, self.delta)
+                sketch = self.bank[key]._materialize(self._seeds[key], self.n_ids, self.delta)
+                res = slow[key] = sketch.query()
             if isinstance(res, Sampled):
                 stats.sampled += 1
                 edge = (*edge_from_id(res.ident), self._slot_class[key // per_slot])

@@ -53,11 +53,6 @@ from .errors import DomainError, ParameterError
 Edge = tuple  # (u, v, weight) with u < v
 
 
-def edge_key(edge: Edge):
-    u, v, w = edge
-    return (w, u, v)
-
-
 @dataclass(frozen=True)
 class Matching:
     """A set of pairwise vertex-disjoint edges, stored in key-descending order."""

@@ -8,7 +8,7 @@ deterministic search (lowest odd tail first) and certified with Ben-Or's
 irreducibility test, so the table is reproducible and self-verified.
 
 For w <= TABLE_WIDTH = 16, ``log_tables`` gives the discrete log and antilog tables of
-the field's multiplicative group to a fixed generator, so a product of
+the field's multiplicative group to its smallest generator, so a product of
 nonzero elements is ``exp[log[a] + log[b]]``: two lookups and an add
 instead of a carry-less multiply and a reduction (the standard table
 multiply, Plank 1997, "A Tutorial on Reed-Solomon Coding for
@@ -87,45 +87,6 @@ def gf_mul(a: int, b: int, w: int) -> int:
     return p
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    factors = []
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            factors.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
-def _gf_pow(a: int, e: int, w: int) -> int:
-    acc = 1
-    while e:
-        if e & 1:
-            acc = gf_mul(acc, a, w)
-        a = gf_mul(a, a, w)
-        e >>= 1
-    return acc
-
-
-def _generator(w: int) -> int:
-    """The smallest generator of the multiplicative group of GF(2^w).
-
-    g generates the group of order 2^w - 1 iff g^((2^w-1)/p) != 1 for every
-    prime p dividing the order, which is odd.  Trial division factors the
-    order, so this is for table widths only.
-    """
-    order = (1 << w) - 1
-    factors = _odd_prime_factors(order)
-    for g in range(1, 1 << w):
-        if all(_gf_pow(g, order // p, w) != 1 for p in factors):
-            return g
-    raise AssertionError(f"no generator found for width {w}")
-
-
 @lru_cache(maxsize=None)
 def log_tables(w: int) -> tuple[array, array]:
     """``(log, exp)`` for GF(2^w), w <= TABLE_WIDTH, to the base g, the
@@ -134,21 +95,27 @@ def log_tables(w: int) -> tuple[array, array]:
     ``exp[i]`` is g^i for 0 <= i < 2(2^w - 1), so ``exp[log[a] + log[b]]``
     is the product of nonzero a and b with no reduction of the exponent;
     ``log[a]`` is the exponent of nonzero a, and ``log[0]`` is 0 and means
-    nothing.  Built on first use and kept per width.
+    nothing.  The build steps g = 1, 2, ... through its powers and keeps the
+    first g whose powers return to 1 only at step 2^w - 1.  Built on first
+    use and kept per width.
     """
     if not 1 <= w <= TABLE_WIDTH:
         raise ParameterError(f"table width must be in [1, {TABLE_WIDTH}], got {w}")
     order = (1 << w) - 1
-    g = _generator(w)
-    # Multiplying by g is GF(2)-linear, so it is the xor of its values on
-    # the low byte and on the high byte of the multiplicand.
-    lo = [gf_mul(b, g, w) for b in range(min(256, order + 1))]
-    hi = [gf_mul(b << 8, g, w) for b in range(1 << max(w - 8, 0))]
     exp = array("H", bytes(4 * order))
     log = array("H", bytes(2 << w))
-    a = 1
-    for i in range(order):
-        exp[i] = exp[i + order] = a
-        log[a] = i
-        a = lo[a & 255] ^ hi[a >> 8]
-    return log, exp
+    for g in range(1, order + 1):
+        # Multiplying by g is GF(2)-linear, so it is the xor of its values on
+        # the low byte and on the high byte of the multiplicand.
+        lo = [gf_mul(b, g, w) for b in range(min(256, order + 1))]
+        hi = [gf_mul(b << 8, g, w) for b in range(1 << max(w - 8, 0))]
+        a = 1
+        for i in range(order):
+            exp[i] = exp[i + order] = a
+            log[a] = i
+            a = lo[a & 255] ^ hi[a >> 8]
+            if a == 1:
+                break
+        if i == order - 1:  # first back at 1 after 2^w - 1 steps: g generates
+            return log, exp
+    raise AssertionError(f"no generator found for width {w}")

@@ -1,6 +1,7 @@
 """Stream file format, well-formedness replay, and planted-instance generation.
 
-Grammar (one record per line, ``#`` starts a comment):
+Grammar (one record per line, lines end at \\n, \\r\\n or \\r, ``#`` starts a
+comment):
 
     H <n> <k> <precision>     header: vertex count, parameter, weight decimals
     I <u> <v> <w>             insert edge uv with weight w
@@ -64,9 +65,15 @@ def format_weight(w, precision: int) -> str:
     return f"{(Decimal(x.numerator) / Decimal(x.denominator)).normalize(Context(prec=6)):g}"
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``: only \\n, \\r\\n and \\r end one (``str.splitlines``
+    also ends a line at a form feed, \\x85 or a Unicode line separator)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _fields(text: str):
     """(line number, fields) of each line that is not blank or a comment."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line.split()

@@ -11,7 +11,6 @@ from typing import Callable, Iterable, Sequence
 
 import streammatch
 from streammatch.dynamic import (
-    BankSampler,
     EdgeUpdate,
     QueryStats,
     abstract_sampler_words,
@@ -19,7 +18,7 @@ from streammatch.dynamic import (
     edge_from_id,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import Edge, Matching, _sorted_desc, edge_key, solve_exact
+from streammatch.exact import Edge, Matching, _sorted_desc, solve_exact
 from streammatch.field_hash import KWiseHash, next_prime
 from streammatch.gf2 import gf_mul
 from streammatch.insertonly import PartFn, _heap_charge, task_budget, window_length
@@ -167,6 +166,12 @@ def isolation_witness(s: set[int], scheme: HashScheme) -> WitnessReport:
         indices.extend(base + h(x) for x in keys)
     assert len(set(indices)) == len(s), "witness indices must be pairwise distinct"
     return WitnessReport(part_sizes_ok, True, tuple(indices))
+
+
+def edge_key(edge: Edge):
+    """The key (weight, u, v) of the solver's total edge order."""
+    u, v, w = edge
+    return (w, u, v)
 
 
 def _pair_key(pu: int, pv: int) -> tuple[int, int]:
@@ -404,7 +409,7 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
             res = Sampled(next(iter(rec.net)))
         else:
             seed = derive_seed(matcher._bank_seed, i, j, wc)
-            res = BankSampler(seed, rec.net).query(matcher.n_ids, matcher.delta)
+            res = rec._materialize(seed, matcher.n_ids, matcher.delta).query()
         if isinstance(res, Sampled):
             stats.sampled += 1
             u, v = edge_from_id(res.ident)

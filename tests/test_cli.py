@@ -225,12 +225,23 @@ def test_run_takes_a_subnormal_delta(tmp_path, capsys, delta):
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_a_stream_that_is_not_utf8_names_its_line(tmp_path, capsys, command):
     path = tmp_path / "stream.txt"
-    path.write_bytes(b"H 4 1 0\r\nI 0 1 5\x0c# \xff\nQ\n")  # splitlines() also breaks at \x0c
+    path.write_bytes(b"H 4 1 0\r\nI 0 1 5\x0c# \xff\nQ\n")  # a form feed ends no line
     options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
     assert main([command, *options, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 3: not UTF-8: byte 0xff\n"
+    assert captured.err == "error: line 2: not UTF-8: byte 0xff\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("sep", ["\x0c", "\x85"], ids=["form-feed", "nel"])
+def test_a_comment_holding_a_form_feed_or_nel_stays_one_line(tmp_path, capsys, command, sep):
+    path = tmp_path / "stream.txt"
+    path.write_text(f"H 4 1 0\n# note{sep}still a comment\nI 0 1 5\nQ\n", encoding="utf-8")
+    options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
+    assert main([command, *options, str(path)]) == 0
+    shown = "oracle weight=5" if command == "verify" else "weight=5"
+    assert capsys.readouterr().out.startswith(f"query 1: {shown} edges: (0,1,5)")
 
 
 @pytest.mark.parametrize("model, option", [

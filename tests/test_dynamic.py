@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import GridL0Sampler, bank_key, enumerate_oracle, key_parts, run_isolated, sweep_query
+from checks import GridL0Sampler, bank_key, edge_key, enumerate_oracle, key_parts, run_isolated, sweep_query
 
 from streammatch import dynamic
 from streammatch.dynamic import (
@@ -22,7 +22,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import edge_key, solve_exact
+from streammatch.exact import solve_exact
 from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
@@ -171,7 +171,7 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
     for trial in range(200):
         seed = rng.getrandbits(63)
         full = GridL0Sampler(n_ids, 0.05, random.Random(seed))
-        rec = BankSampler(seed, {})
+        rec = BankSampler({})
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)
             count = rng.choice((1, -1))
@@ -182,7 +182,7 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
             else:
                 del rec.net[ident]
         outcome = full.query()
-        assert rec.query(n_ids, 0.05) == outcome
+        assert rec._materialize(seed, n_ids, 0.05).query() == outcome
         if not rec.net:
             assert outcome is EMPTY
         elif len(rec.net) == 1:
@@ -195,7 +195,7 @@ def _assert_index(dm):
     assert dm._slow.keys() == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
     for key, outcome in dm._slow.items():
         if outcome is not None:
-            assert outcome == dm.bank[key].query(dm.n_ids, dm.delta), key
+            assert outcome == dm.bank[key]._materialize(dm._seeds[key], dm.n_ids, dm.delta).query(), key
     # Every entry whose net vector is exactly {id} counts once at its edge and class.
     assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), key_parts(dm, key)[2])
                                   for key, rec in dm.bank.items() if len(rec.net) == 1)
@@ -211,12 +211,11 @@ def _assert_index(dm):
 
 
 def _assert_owners(dm):
-    # An entry owns its value, with the seed of its key, exactly when it holds
-    # two or more ids; every other value is a holder with seed None.
-    assert {key for key, rec in dm.bank.items() if rec.seed is not None} == dm._slow.keys()
-    for key in dm._slow:
-        assert dm.bank[key].seed == derive_seed(dm._bank_seed, *key_parts(dm, key)), key
+    # ``_seeds`` is the one store of the entries' seeds: one per entry, derived
+    # from its key's parts.
     assert len(dm._seeds) == len(dm.bank)
+    for key in dm.bank:
+        assert dm._seeds[key] == derive_seed(dm._bank_seed, *key_parts(dm, key)), key
 
 
 def _assert_nets(dm, updates):

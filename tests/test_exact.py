@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import enumerate_oracle, hub_graph, max_nice_matching
+from checks import edge_key, enumerate_oracle, hub_graph, max_nice_matching
 
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import Matching, edge_key, is_valid_matching, solve_exact
+from streammatch.exact import Matching, is_valid_matching, solve_exact
 
 
 def test_single_edge():

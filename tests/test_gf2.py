@@ -115,11 +115,17 @@ def test_table_product_equals_gf_mul_random_pairs(w):
         assert _table_mul(b, a, w) == gf_mul(a, b, w), (b, a)
 
 
+# The smallest generator of GF(2^w)'s multiplicative group for w = 1 .. 16,
+# certified by the prime factors of 2^w - 1 when the tables were introduced.
+SMALLEST_GENERATORS = (1, 2, 2, 2, 2, 2, 2, 3, 7, 2, 2, 3, 2, 7, 2, 3)
+
+
 @pytest.mark.parametrize("w", range(1, TABLE_WIDTH + 1))
 def test_log_tables_invert_and_generator_has_full_order(w):
     log, exp = log_tables(w)
     order = (1 << w) - 1
     g = exp[1]
+    assert g == SMALLEST_GENERATORS[w - 1]
     assert len(log) == 1 << w and len(exp) == 2 * order
     assert all(exp[log[a]] == a for a in range(1, 1 << w))
     # g's powers step by gf_mul and cover every nonzero element once.

@@ -12,6 +12,7 @@ from streammatch.streams import (
     format_weight,
     gen_planted,
     parse_stream,
+    record_line,
     render_stream,
     scale_weight,
 )
@@ -52,6 +53,14 @@ def test_format_weight_prints_like_a_float_beyond_its_range(w, expected):
 def test_parse_comments_and_blanks():
     sf = parse_stream("# hello\n\nH 4 1 0\n# mid\nI 0 1 5\nQ\n")
     assert len(sf.records) == 2
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_cr_and_lf_end_a_line(sep):
+    # str.splitlines() also breaks at these, which would end a comment early.
+    sf = parse_stream(f"H 4 1 0\r\n# note{sep}still a comment\rI 0 1 5{sep}\nQ\n")
+    assert len(sf.records) == 2
+    assert record_line(f"H 4 1 0\r\n# a{sep}b\r\rI 0 1 5\nQ\n", 0) == 4
 
 
 @pytest.mark.parametrize(
