@@ -40,15 +40,15 @@ changed in place.
 Because the outcome of an entry with at most one id is known without
 decoding it, the matcher keeps an incremental index instead of sweeping
 the bank at each query: the number of entries whose net vector is exactly
-{id}, per (u, v, weight class) of that id's edge, and the "slow" entries,
+{id}, per (weight class, u, v) of that id's edge, and the "slow" entries,
 those holding two or more ids, each with its decoded outcome or None.
 ``update`` moves entries between the two as their support size crosses 1
 and 2, and resets a slow entry's outcome to None whenever it touches the
 entry.  The index also keeps the singles' keys in order: ``_order`` holds
-each as (class, u, v), ascending, and changes only when a single's count
-crosses 0 (a bisect and a list insert or delete).  A query reads the single
-edges straight off the index and decodes only the slow entries whose outcome
-is None, keeping each outcome until the entry is next touched; it costs
+them ascending, and changes only when a single's count crosses 0 (a bisect
+and a list insert or delete).  A query reads the single edges straight off
+the index and decodes only the slow entries whose outcome is None, keeping
+each outcome until the entry is next touched; it costs
 O(distinct live edges + slow entries) instead of O(bank size), with the same
 answers and the same ``QueryStats``.  Class order is reported-weight order
 in both modes, so ``reversed(_order)`` gives the single edges key-descending;
@@ -181,9 +181,7 @@ class BankSampler:
     def _materialize(self, seed: int, n_ids: int, delta: float) -> L0Sampler:
         sketch = L0Sampler(n_ids, delta, random.Random(seed))
         for ident, count in self.net.items():
-            step = 1 if count > 0 else -1
-            for _ in range(abs(count)):
-                sketch.update(ident, step)
+            sketch.update(ident, count)
         return sketch
 
 
@@ -235,11 +233,10 @@ class DynamicMatcher:
         self.last_touched = 0
         self.last_query_stats = QueryStats()
         # The query index (module docstring): entries whose net vector is
-        # exactly {id}, counted per (u, v, weight class) of that id's edge,
+        # exactly {id}, counted per (weight class, u, v) of that id's edge,
         # and the slow entries, key -> decoded outcome, or None if not
-        # decoded since the last touch; and the keys of ``_singles`` as
-        # (class, u, v), ascending.
-        self._singles: dict[tuple[int, int, int], int] = {}
+        # decoded since the last touch; and the keys of ``_singles``, ascending.
+        self._singles: dict[tuple, int] = {}
         self._slow: dict[int, object] = {}
         self._order: list[tuple] = []
 
@@ -281,7 +278,7 @@ class DynamicMatcher:
                     if len(net) >= 2:
                         slow[key] = None  # changed, so decoded again at the next query
                     else:  # 2 -> 1: the other id becomes a single
-                        self._count_single((*edge_from_id(next(iter(net))), wc), 1)
+                        self._count_single((wc, *edge_from_id(next(iter(net)))), 1)
                         del slow[key]
                 elif not net:  # 0 -> 1, a refill
                     bank[key] = fresh
@@ -290,7 +287,7 @@ class DynamicMatcher:
                     ((other, c),) = net.items()
                     if other != ident:  # 1 -> 2
                         bank[key] = BankSampler({other: c, ident: count})
-                        self._count_single((*edge_from_id(other), wc), -1)
+                        self._count_single((wc, *edge_from_id(other)), -1)
                         slow[key] = None
                     elif c + count:  # 1 -> 1; every entry of this edge and class holds c
                         if moved is None:
@@ -300,7 +297,7 @@ class DynamicMatcher:
                         bank[key] = EMPTY_ENTRY
                         gained -= 1
         if gained:
-            self._count_single((upd.u, upd.v, wc), gained)
+            self._count_single((wc, upd.u, upd.v), gained)
         self.updates_applied += 1
         touched = len(values_u) * len(values_v)
         self.last_touched = touched
@@ -321,17 +318,16 @@ class DynamicMatcher:
         assert all(i < self._range_size for i in values)
         return values
 
-    def _count_single(self, single: tuple[int, int, int], delta: int):
-        u, v, wc = single
+    def _count_single(self, single: tuple, delta: int):
         old = self._singles.get(single, 0)
         c = old + delta
         if c:
             self._singles[single] = c
             if not old:
-                insort(self._order, (wc, u, v))
+                insort(self._order, single)
         else:
             del self._singles[single]
-            del self._order[bisect_left(self._order, (wc, u, v))]
+            del self._order[bisect_left(self._order, single)]
 
     def _assert_budgets(self, touched: int):
         pair_count = self._pair_count
@@ -361,7 +357,7 @@ class DynamicMatcher:
                 res = slow[key] = sketch.query()
             if isinstance(res, Sampled):
                 stats.sampled += 1
-                edge = (*edge_from_id(res.ident), self._slot_class[key // per_slot])
+                edge = (self._slot_class[key // per_slot], *edge_from_id(res.ident))
                 if edge not in singles:
                     extra.add(edge)
             elif res is EMPTY:
@@ -373,7 +369,7 @@ class DynamicMatcher:
         # Class order is reported-weight order, so the singles come key-descending
         # and the solver's sort of them is one linear pass.
         edges = [(u, v, wclasses[wc]) for wc, u, v in reversed(self._order)]
-        edges += [(u, v, wclasses[wc]) for u, v, wc in extra]
+        edges += [(u, v, wclasses[wc]) for wc, u, v in extra]
         return solve_exact(edges, self.k)
 
 

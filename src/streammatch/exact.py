@@ -35,9 +35,10 @@ is unchanged.
 
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
-each, one solve takes about 1.2 ms at k=4, 17 ms at k=5, 0.5-0.75 s at
-k=6 and 18 s at k=7 on a shared 2-core Xeon (the ROADMAP item "An exact-k
-solver whose time is polynomial in k").
+each (``tests/checks.py::hub_graph``), one solve takes about 0.6 ms at
+k=4, 9 ms at k=5, 0.26 s at k=6 and 8.4 s at k=7 on a shared 2-vCPU Intel
+Xeon host under CPython 3.11 (medians of 21, 11 and 5 solves; one at k=7;
+the ROADMAP item "An exact-k solver whose time is polynomial in k").
 
 ``is_valid_matching``, the answer check of both pipelines, takes the
 matcher's ``eps``: None when every reported weight is exact.

@@ -80,11 +80,7 @@ def reduction_poly(w: int) -> int:
 
 def gf_mul(a: int, b: int, w: int) -> int:
     """Product of a and b in GF(2^w)."""
-    f = reduction_poly(w)
-    p = clmul(a, b)
-    while p.bit_length() > w:
-        p ^= f << (p.bit_length() - (w + 1))
-    return p
+    return _poly_mod(clmul(a, b), reduction_poly(w))
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,14 @@ mistaken for one-sparse with probability at most (support size)/P, which
 is negligible and the only caveat on the otherwise exact outcomes below.
 
 The sampler holds the exact net vector (id -> nonzero net count) and the
-cells' random parameters, and ``query`` computes each cell's sums from
-the net vector.  The sketch is linear, so these are the counters the
-grid of cells would hold had it been updated from the start, and the
-outcome is the grid's, bit for bit: ``Sampled`` from the first cell that
-verifies, in repetition-major order; ``EMPTY`` on the zero vector (all
-sums are zero); ``FAIL`` when some sum is nonzero but no cell verifies.
+cells' random parameters.  An update adds any nonzero int to one id's net
+count, and ``query`` computes each cell's sums from the net vector.  The
+sketch is linear, so these are the counters the grid of cells would hold
+had it been updated from the start, in unit steps or one whole count per
+id, in any order, and the outcome is the grid's, bit for bit: ``Sampled``
+from the first cell that verifies, in repetition-major order; ``EMPTY``
+on the zero vector (all sums are zero); ``FAIL`` when some sum is nonzero
+but no cell verifies.
 A one-sparse vector always decodes at repetition 0, level 0.
 
 A cell's random values (a, b, z) are drawn exactly as ``randrange`` would
@@ -139,11 +141,11 @@ class L0Sampler:
         self.net: dict[int, int] = {}
 
     def update(self, ident: int, count: int):
-        """Apply a signed update; linear, so update order never matters."""
+        """Add ``count``, any nonzero int, to the id's net count (module docstring)."""
         if not 0 <= ident < self.n:
             raise DomainError(f"id {ident} outside [0, {self.n})")
-        if count not in (1, -1):
-            raise ParameterError(f"count must be +1 or -1, got {count}")
+        if type(count) is not int or not count:
+            raise ParameterError(f"count must be a nonzero int, got {count!r}")
         c = self.net.get(ident, 0) + count
         if c:
             self.net[ident] = c

@@ -13,6 +13,10 @@ Weights are parsed as exact scaled integers: with precision p, the token
 digits before the point, so every weight and sum of weights prints.
 Endpoints are normalized to u < v at parse time.  A file must contain a
 header with 1 <= k <= n/2 and at least one query record.
+
+``MAX_VERTICES`` = 2^41 caps n.  Below it, the edge-id domain n(n-1)/2 and
+every prime drawn for a domain of that size stay below psi_13, under which
+``field_hash.is_prime`` is deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .seeds import spawn_rng
 
 _WEIGHT_RE = re.compile(r"\d+(\.\d+)?")
 DIGITS_CAP = 1000
+MAX_VERTICES = 1 << 41
 
 Record = tuple  # ("I", u, v, w) | ("D", u, v, w) | ("Q",)
 
@@ -84,6 +89,8 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
     records: list[Record] = []
     for line_no, fields in _fields(text):
         tag = fields[0]
+        if tag not in ("H", "I", "D", "Q"):
+            raise StreamFormatError(line_no, f"unknown record tag {tag!r}")
         if tag == "H":
             if header is not None:
                 raise StreamFormatError(line_no, "duplicate header")
@@ -95,39 +102,37 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "header fields must be integers") from None
             if n < 2 or k < 1 or precision < 0:
                 raise StreamFormatError(line_no, f"bad header values n={n}, k={k}, precision={precision}")
+            if n > MAX_VERTICES:
+                raise StreamFormatError(line_no, f"n={n} is above the cap of 2^41 vertices")
             if precision > DIGITS_CAP:
                 raise StreamFormatError(line_no, f"precision {precision} is above the cap of {DIGITS_CAP}")
             if 2 * k > n:
                 raise StreamFormatError(line_no, f"need k <= n/2, got k={k}, n={n}")
             header = (n, k, precision)
-        elif tag in ("I", "D"):
-            if header is None:
-                raise StreamFormatError(line_no, "record before header")
-            if tag == "D" and insert_only:
-                raise StreamFormatError(line_no, "deletion in insert-only mode")
-            if len(fields) != 4:
-                raise StreamFormatError(line_no, f"{tag} record needs: {tag} <u> <v> <w>")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise StreamFormatError(line_no, "vertex ids must be integers") from None
-            n = header[0]
-            if not (0 <= u < n and 0 <= v < n):
-                raise StreamFormatError(line_no, f"vertex id outside [0, {n})")
-            if u == v:
-                raise StreamFormatError(line_no, "self-loops are not allowed")
-            if u > v:
-                u, v = v, u
-            w = scale_weight(fields[3], header[2], line_no)
-            records.append((tag, u, v, w))
-        elif tag == "Q":
-            if header is None:
-                raise StreamFormatError(line_no, "record before header")
+            continue
+        if header is None:
+            raise StreamFormatError(line_no, "record before header")
+        if tag == "Q":
             if len(fields) != 1:
                 raise StreamFormatError(line_no, "query record takes no fields")
             records.append(("Q",))
-        else:
-            raise StreamFormatError(line_no, f"unknown record tag {tag!r}")
+            continue
+        if tag == "D" and insert_only:
+            raise StreamFormatError(line_no, "deletion in insert-only mode")
+        if len(fields) != 4:
+            raise StreamFormatError(line_no, f"{tag} record needs: {tag} <u> <v> <w>")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise StreamFormatError(line_no, "vertex ids must be integers") from None
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise StreamFormatError(line_no, f"vertex id outside [0, {n})")
+        if u == v:
+            raise StreamFormatError(line_no, "self-loops are not allowed")
+        if u > v:
+            u, v = v, u
+        records.append((tag, u, v, scale_weight(fields[3], header[2], line_no)))
     if header is None:
         raise StreamFormatError(0, "missing header")
     if not any(r[0] == "Q" for r in records):
@@ -216,6 +221,8 @@ def gen_planted(n: int, k: int, weights: int, m: int, del_rate: float, seed: int
         raise ParameterError(f"k must be >= 1, got {k}")
     if 2 * k > n:
         raise ParameterError(f"need k <= n/2, got k={k}, n={n}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
     if weights < 1:
         raise ParameterError(f"weights must be >= 1, got {weights}")
     if m < 0:

@@ -354,8 +354,8 @@ class GridL0Sampler:
     def update(self, ident: int, count: int):
         if not 0 <= ident < self.n:
             raise DomainError(f"id {ident} outside [0, {self.n})")
-        if count not in (1, -1):
-            raise ParameterError(f"count must be +1 or -1, got {count}")
+        if type(count) is not int or not count:
+            raise ParameterError(f"count must be a nonzero int, got {count!r}")
         p = self._p
         for row in self._grid:
             for a, b, r, sketch in row:

@@ -96,7 +96,7 @@ def test_solver_input_is_every_live_edge():
     dm = DynamicMatcher(n, k, random.Random(MATCHER_SEED))
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
-    assert {(u, v) for u, v, _c in dm._singles} == {(u, v) for u, v, _w in edges}
+    assert {(u, v) for _wc, u, v in dm._singles} == {(u, v) for u, v, _w in edges}
 
     text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)

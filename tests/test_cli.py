@@ -244,6 +244,33 @@ def test_a_comment_holding_a_form_feed_or_nel_stays_one_line(tmp_path, capsys, c
     assert capsys.readouterr().out.startswith(f"query 1: {shown} edges: (0,1,5)")
 
 
+@pytest.mark.parametrize("model", ["dynamic", "dynamic-approx", "insert"])
+def test_every_model_takes_n_up_to_2_to_the_41(tmp_path, capsys, model):
+    # Above 2^41 the sampler's edge-id domain n(n-1)/2 can reach psi_13, the
+    # least strong pseudoprime to every Miller-Rabin base is_prime uses.
+    path = tmp_path / "stream.txt"
+    path.write_text(f"H {1 << 41} 1 0\nI 0 1 5\nQ\n")
+    assert main(["run", "--model", model, "--seed", "1", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("query 1: weight=5")
+    for n in ((1 << 41) + 1, 2575672364522, (1 << 61) + 1):
+        path.write_text(f"H {n} 1 0\nI 0 1 5\nQ\n")
+        assert main(["run", "--model", model, "--seed", "1", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: n={n} is above the cap of 2^41 vertices\n"
+
+
+def test_verify_and_gen_take_the_same_vertex_range(tmp_path, capsys):
+    path = tmp_path / "stream.txt"
+    for n, code in ((1 << 41, 0), ((1 << 41) + 1, 2)):
+        path.write_text(f"H {n} 1 0\nI 0 1 5\nQ\n")
+        assert main(["verify", str(path)]) == code
+        assert main(["gen", "--n", str(n), "--k", "1", "--weights", "3", "--m", "2", "--seed", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: line 1: n={(1 << 41) + 1} is above the cap of 2^41 vertices\n"
+                            f"error: n={(1 << 41) + 1} is above the cap of 2^41 vertices\n")
+
+
 @pytest.mark.parametrize("model, option", [
     ("dynamic", "--epsilon=0.5"), ("insert", "--epsilon=0.5"),
     ("dynamic", "--delta=0.5"), ("dynamic-approx", "--delta=0.5"),

@@ -197,10 +197,10 @@ def _assert_index(dm):
         if outcome is not None:
             assert outcome == dm.bank[key]._materialize(dm._seeds[key], dm.n_ids, dm.delta).query(), key
     # Every entry whose net vector is exactly {id} counts once at its edge and class.
-    assert dm._singles == Counter((*edge_from_id(next(iter(rec.net))), key_parts(dm, key)[2])
+    assert dm._singles == Counter((key_parts(dm, key)[2], *edge_from_id(next(iter(rec.net))))
                                   for key, rec in dm.bank.items() if len(rec.net) == 1)
-    # ``_order`` holds the singles' keys as (class, u, v), ascending.
-    assert dm._order == sorted((wc, u, v) for u, v, wc in dm._singles)
+    # ``_order`` holds the singles' keys (class, u, v), ascending.
+    assert dm._order == sorted(dm._singles)
     # Net vectors with at most one id may be shared, so they are never changed
     # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
     # two or more ids.
@@ -399,7 +399,7 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     others = {next(y for y in by_value[j] if y != x) for j in key_indices(x, dm.scheme)}
     for u, v, w in [(0, x, 3)] + [(0, y, 3) for y in sorted(others)] + [(2, 3, 5), (4, 5, 1), (6, 7, 5)]:
         dm.update(EdgeUpdate(u, v, w, True))
-    assert (0, x) not in {(u, v) for u, v, _wc in dm._singles}
+    assert (0, x) not in {(u, v) for _wc, u, v in dm._singles}
     inputs = []
     monkeypatch.setattr(dynamic, "solve_exact", lambda edges, k: inputs.append(edges) or solve_exact(edges, k))
     answer, stats = sweep_query(dm)
@@ -408,12 +408,34 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     _assert_index(dm)
     samples = {edge_from_id(res.ident) for res in dm._slow.values() if isinstance(res, Sampled)}
     assert (0, x) in samples
-    assert samples & {(u, v) for u, v, _wc in dm._singles}
+    assert samples & {(u, v) for _wc, u, v in dm._singles}
     (edges,) = inputs
     head = edges[: len(dm._order)]
     assert head == sorted(head, key=edge_key, reverse=True)
     assert len(edges) == len(set(edges)) == len(dm._singles) + 1
     assert edges[-1] == (0, x, dm.wclasses[weight_class(3, eps) if eps else 3])
+
+
+def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
+    # Inserting (0, 1) twice (no well-formed stream does, but the matcher
+    # takes it) leaves {id: 2} in its entries; an edge (0, x) that shares some
+    # of them makes those {id: 2, id': 1}, and each decodes as the reference
+    # grid fed unit steps.
+    n = 200
+    dm = DynamicMatcher(n, 1, random.Random(2))
+    values_1 = set(key_indices(1, dm.scheme))
+    x = next(x for x in range(2, n) if values_1 & set(key_indices(x, dm.scheme)))
+    for v in (1, 1, x):
+        dm.update(EdgeUpdate(0, v, 3, True))
+    a, b = edge_id(0, 1, n), edge_id(0, x, n)
+    assert len(dm._slow) == len(key_indices(0, dm.scheme)) * len(values_1 & set(key_indices(x, dm.scheme)))
+    dm.query()
+    for key, outcome in dm._slow.items():
+        assert dm.bank[key].net == {a: 2, b: 1}
+        grid = GridL0Sampler(dm.n_ids, dm.delta, random.Random(dm._seeds[key]))
+        for ident in (a, a, b):
+            grid.update(ident, 1)
+        assert outcome == grid.query(), key
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])

@@ -24,6 +24,14 @@ def test_next_prime():
     assert is_prime((1 << 61) - 1)
 
 
+def test_is_prime_catches_the_least_strong_pseudoprime_to_the_bases_through_37():
+    # psi_12 passes Miller-Rabin to every prime base through 37; base 41 finds it.
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert next_prime(psi12 - 10) == 318665857834031151167483
+
+
 class _FixedRng:
     """Feeds queued values to randrange; for forcing specific draws."""
 

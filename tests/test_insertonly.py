@@ -12,6 +12,7 @@ from streammatch.insertonly import (
     CopyState,
     InsertOnlyMatcher,
     ReduceTask,
+    _heap_charge,
     insert_preprocess,
     insert_query,
     insert_update,
@@ -373,3 +374,19 @@ def test_planted_success_rate_small():
         if ans is not None and ans.weight == sum(w for _u, _v, w in planted):
             hits += 1
     assert hits / trials >= 0.45
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+def test_largest_update_charge_is_the_budget_and_one_heap_charge(k):
+    # A step stops once its charge reaches the budget, so it overshoots by
+    # less than one item's charge, at most a heap charge over 2q edges; the
+    # copy adds 1 for the append and 2 for a rotation.
+    q = window_length(k)
+    n = 400
+    rng = random.Random(k)
+    pairs = rng.sample([(u, v) for v in range(1, n) for u in range(v)], 4 * q)
+    matcher = InsertOnlyMatcher(n, k, 0.5, rng)
+    for u, v in pairs:
+        matcher.update(EdgeUpdate(u, v, rng.randint(1, 1000), True))
+    (copy,) = matcher.copies
+    assert copy.max_update_ops <= task_budget(k) + _heap_charge(2 * q) + 2

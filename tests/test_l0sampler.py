@@ -44,8 +44,9 @@ def test_parameter_validation():
     s = _sampler()
     with pytest.raises(DomainError):
         s.update(64, 1)
-    with pytest.raises(ParameterError):
-        s.update(3, 2)
+    for count in (0, 2.0, 0.5, "1"):
+        with pytest.raises(ParameterError):
+            s.update(3, count)
 
 
 def test_single_update_always_sampled():
@@ -159,6 +160,36 @@ def test_sampler_decodes_as_the_counter_grid():
             res = s.query()
             assert res == ref.query(), (n, delta, seed)
             seen.add(type(res) if isinstance(res, Sampled) else res)
+    assert seen == {Sampled, EMPTY, FAIL}
+
+
+def test_whole_counts_give_the_unit_steps_state():
+    # The sketch is linear: a net vector applied as one whole count per id
+    # gives the net vector, the outcome and the rng state that its +-1 steps
+    # give, shuffled; the reference grid takes the whole counts too.
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(200):
+        n = rng.choice((16, 300, 1 << 40))
+        delta = rng.choice((0.5, 0.1, 0.01))
+        seed = rng.getrandbits(63)
+        support = rng.sample(range(n), rng.randint(0, 8))
+        net = {ident: rng.choice((-1, 1)) * rng.randint(1, 5) for ident in support}
+        steps = [(ident, 1 if c > 0 else -1) for ident, c in net.items() for _ in range(abs(c))]
+        rng.shuffle(steps)
+        rngs = [random.Random(seed) for _ in range(3)]
+        whole, unit = L0Sampler(n, delta, rngs[0]), L0Sampler(n, delta, rngs[1])
+        grid = GridL0Sampler(n, delta, rngs[2])
+        for ident, c in net.items():
+            whole.update(ident, c)
+            grid.update(ident, c)
+        for ident, c in steps:
+            unit.update(ident, c)
+        assert whole.net == unit.net == net
+        res = whole.query()
+        assert res == unit.query() == grid.query(), (n, delta, seed)
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+        seen.add(type(res) if isinstance(res, Sampled) else res)
     assert seen == {Sampled, EMPTY, FAIL}
 
 
