@@ -46,15 +46,18 @@ those holding two or more ids, each with its decoded outcome or None.
 and 2, and resets a slow entry's outcome to None whenever it touches the
 entry.  The index also keeps the singles' keys in order: ``_order`` holds
 them ascending, and changes only when a single's count crosses 0 (a bisect
-and a list insert or delete).  A query reads the single edges straight off
-the index and decodes only the slow entries whose outcome is None, keeping
-each outcome until the entry is next touched; it costs
-O(distinct live edges + slow entries) instead of O(bank size), with the same
-answers and the same ``QueryStats``.  Class order is reported-weight order
-in both modes, so ``reversed(_order)`` gives the single edges key-descending;
-a query appends the slow entries' samples that are not singles, and the
-solver's sort of that input is one linear pass over the singles, not a
-sort of the live graph.
+and a list insert or delete), and ``_single_total`` is the sum of their
+counts.  A query decodes only the slow entries whose outcome is None,
+keeping each outcome until the entry is next touched, and gives the same
+answers and the same ``QueryStats`` as a sweep of the bank.  Class order is
+reported-weight order in both modes, so ``reversed(_order)`` gives the
+single edges key-descending; the slow entries' samples that are not singles
+are sorted and merged in at their key positions, and the solver is handed
+that merge as a lazy ``KeyDescending`` view.  It reads the view only until
+its kernel is full, so beyond the slow entries a query costs about as much
+as the kernel scan, not as much as the live graph: 7 edges at k=2 when the
+edges are disjoint, and all of them when the kernel's rank rule drops so
+many that it never fills, as on a star or on a few hubs.
 
 A vertex's values (``key_indices``) and a weight's class and slot are
 computed once per matcher, on the first update that names them, and
@@ -72,13 +75,15 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from math import isqrt
 
 from .errors import DomainError, ParameterError
-from .exact import Matching, solve_exact
+from .exact import KeyDescending, Matching, solve_exact
 from .l0sampler import EMPTY, L0Sampler, Sampled
 from .partition import HashScheme, build_scheme, key_indices
 from .seeds import derive_seed
+from .streams import MAX_VERTICES
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,8 @@ class DynamicMatcher:
     def __init__(self, n: int, k: int, rng: random.Random, mode: str = "exact", eps=None):
         if k < 1 or 2 * k > n:
             raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
+        if n > MAX_VERTICES:
+            raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
         if mode not in ("exact", "approx"):
             raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
         if mode == "approx":
@@ -237,6 +244,7 @@ class DynamicMatcher:
         # and the slow entries, key -> decoded outcome, or None if not
         # decoded since the last touch; and the keys of ``_singles``, ascending.
         self._singles: dict[tuple, int] = {}
+        self._single_total = 0  # sum of the counts in ``_singles``
         self._slow: dict[int, object] = {}
         self._order: list[tuple] = []
 
@@ -319,6 +327,7 @@ class DynamicMatcher:
         return values
 
     def _count_single(self, single: tuple, delta: int):
+        self._single_total += delta
         old = self._singles.get(single, 0)
         c = old + delta
         if c:
@@ -346,7 +355,7 @@ class DynamicMatcher:
         back-to-back queries agree.
         """
         singles = self._singles
-        n_singles = sum(singles.values())
+        n_singles = self._single_total
         stats = QueryStats(sampled=n_singles, empty=len(self.bank) - n_singles - len(self._slow))
         slow = self._slow
         per_slot = self._range_size**2
@@ -366,10 +375,13 @@ class DynamicMatcher:
                 stats.failed += 1
         self.last_query_stats = stats
         wclasses = self.wclasses
-        # Class order is reported-weight order, so the singles come key-descending
-        # and the solver's sort of them is one linear pass.
-        edges = [(u, v, wclasses[wc]) for wc, u, v in reversed(self._order)]
-        edges += [(u, v, wclasses[wc]) for wc, u, v in extra]
+        # Class order is reported-weight order, so (class, u, v) order is key
+        # order: the singles and the sorted extras merge key-descending, and
+        # the solver reads them lazily, up to its kernel.  A merge costs a
+        # step per edge, so the singles alone are not merged.
+        order = reversed(self._order)
+        merged = merge(order, sorted(extra, reverse=True), reverse=True) if extra else order
+        edges = KeyDescending(((u, v, wclasses[wc]) for wc, u, v in merged), len(self._order) + len(extra))
         return solve_exact(edges, self.k)
 
 

@@ -33,6 +33,13 @@ position-lex order, against the choice of M.  The kernel keeps the order
 of the edges, so M is also the kernel's tie-rule winner and the output
 is unchanged.
 
+The input contract: edges in any order are sorted first, which costs a
+key per edge.  Edges wrapped in ``KeyDescending`` declare key-descending
+order instead, and are not sorted: the scan reads them lazily, checks
+each one it reads (u < v, and a key no larger than the one before, else
+DomainError) and stops at rule 3, so only the kernel prefix is read.  A
+dynamic query hands its live edges over this way.
+
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
 each (``tests/checks.py::hub_graph``), one solve takes about 0.6 ms at
@@ -101,13 +108,30 @@ def _sorted_desc(edges: Iterable[Edge]) -> list[Edge]:
     return sorted(edges, key=_checked_key, reverse=True)
 
 
+class KeyDescending:
+    """Edges declared key-descending, with their count: ``solve_exact``
+    reads them once, lazily, in this order, checking each one it reads."""
+
+    __slots__ = ("_edges", "_size")
+
+    def __init__(self, edges: Iterable[Edge], size: int):
+        self._edges = edges
+        self._size = size
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __len__(self):
+        return self._size
+
+
 def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     """A maximum-weight matching of cardinality exactly k, or None.
 
-    ``edges`` may come in any order and may hold parallel copies of a
-    pair; an edge with u >= v raises DomainError.  Deterministic output;
-    see the module docstring for the tie rule and the kernel the search
-    runs on.
+    ``edges`` may come in any order, or as a ``KeyDescending`` (module
+    docstring), and may hold parallel copies of a pair; an edge with
+    u >= v raises DomainError.  Deterministic output; see the module
+    docstring for the tie rule and the kernel the search runs on.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -119,8 +143,15 @@ def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     prefix = [0]
     seen: set[tuple[int, int]] = set()
     rank: dict[int, int] = {}
-    for e in _sorted_desc(edges):
+    descending = isinstance(edges, KeyDescending)
+    last = None
+    for e in edges if descending else _sorted_desc(edges):
         u, v, w = e
+        if descending:  # u < v, as _sorted_desc checks, and the declared order
+            key = (w, u, v)
+            if u >= v or last is not None and key > last:
+                raise DomainError(f"need u < v and keys that do not increase, got edge {e} after key {last}")
+            last = key
         if (u, v) in seen:
             continue
         seen.add((u, v))

@@ -29,12 +29,13 @@ from .errors import DomainError, ParameterError
 from .gf2 import MAX_WIDTH, TABLE_WIDTH, gf_mul, log_tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases through 41: deterministic for
-    n < psi_13 = 3317044064679887385961981, the least strong pseudoprime to
-    all of them (Sorensen and Webster, 2015)."""
+    n < ``PSI_13``, the least strong pseudoprime to all of them (Sorensen
+    and Webster, 2015)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,10 +60,13 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
+    """Smallest prime >= n; ParameterError if it is not below ``PSI_13``,
+    where ``is_prime`` is no longer deterministic."""
     c = max(n, 2)
     while not is_prime(c):
         c += 1
+    if c >= PSI_13:
+        raise ParameterError(f"no prime >= {n} below psi_13, above which is_prime is not deterministic")
     return c
 
 

@@ -60,6 +60,7 @@ from .errors import DomainError, ModelError, ParameterError
 from .exact import Edge, Matching, solve_exact
 from .field_hash import UniversalHash, universal_draw
 from .l0sampler import repetitions_for
+from .streams import MAX_VERTICES
 
 PartFn = Callable[[int], int]
 
@@ -253,6 +254,8 @@ def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[
     """ceil(log2(1/delta)) independent copies, each with its own f: V -> [4k^2]."""
     if k < 1 or 2 * k > n:
         raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     return [CopyState(n, k, universal_draw(n, 4 * k * k, rng)) for _ in range(repetitions_for(delta))]

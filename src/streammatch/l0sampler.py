@@ -31,7 +31,8 @@ draw them from the caller's rng, at ``getrandbits`` cost: one draw of
 width.bit_length() bits, repeated while it is not below the width.  So a
 seed gives the cells it gave through ``randrange`` and leaves the rng in
 the same state.  The field prime depends only on the domain size and is
-computed once per size.
+computed once per size; ``next_prime`` refuses one that is not below
+psi_13, so a domain of psi_13 or more is a ParameterError.
 
 A sampler is single-owner mutable state; distinct samplers are
 independent.  Queries never mutate.

@@ -14,8 +14,9 @@ digits before the point, so every weight and sum of weights prints.
 Endpoints are normalized to u < v at parse time.  A file must contain a
 header with 1 <= k <= n/2 and at least one query record.
 
-``MAX_VERTICES`` = 2^41 caps n.  Below it, the edge-id domain n(n-1)/2 and
-every prime drawn for a domain of that size stay below psi_13, under which
+``MAX_VERTICES`` = 2^41 caps n, here and in ``DynamicMatcher`` and
+``insert_preprocess``.  Below it, the edge-id domain n(n-1)/2 and every
+prime drawn for a domain of that size stay below psi_13, under which
 ``field_hash.is_prime`` is deterministic.
 """
 

@@ -389,6 +389,21 @@ def key_parts(dm, key: int) -> tuple:
     return i, j, dm._slot_class[slot]
 
 
+def covered_vertex(dm) -> tuple[int, list[int]]:
+    """A vertex x, and for each of its values one other vertex y that has it.
+
+    With the edges (0, y) inserted in the class of (0, x), every entry of
+    (0, x) holds a second id, so (0, x) is no single and reaches a query
+    only as a slow entry's sample.
+    """
+    by_value: dict[int, list[int]] = {}
+    for y in range(1, dm.n):
+        for j in key_indices(y, dm.scheme):
+            by_value.setdefault(j, []).append(y)
+    x = next(x for x in range(1, dm.n) if all(len(by_value[j]) >= 2 for j in key_indices(x, dm.scheme)))
+    return x, sorted({next(y for y in by_value[j] if y != x) for j in key_indices(x, dm.scheme)})
+
+
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
     """Reference ``DynamicMatcher.query``: decode every bank entry once.
 

@@ -14,7 +14,10 @@ import subprocess
 import sys
 import time
 
-from streammatch.dynamic import DynamicMatcher, EdgeUpdate
+from checks import covered_vertex
+
+from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_from_id
+from streammatch.l0sampler import Sampled
 from streammatch.partition import key_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,6 +104,27 @@ def test_solver_input_is_every_live_edge():
     text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
     assert out["trace"]["counters"]["solve_sizes"] == [len(edges)]
+
+
+def test_solver_input_counts_slow_samples_that_are_not_singles():
+    # Every entry of (0, x) is shared with another edge (0, y), so (0, x) is
+    # no single and reaches the solver only as a slow entry's sample.  The
+    # solver is handed a lazy view; the counter still records its length,
+    # the singles plus those extra samples.
+    n = 600
+    dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
+    x, others = covered_vertex(dm)
+    edges = [(0, x, 3)] + [(0, y, 3) for y in others] + [(2, 3, 5), (4, 5, 1)]
+    for u, v, w in edges:
+        dm.update(EdgeUpdate(u, v, w, True))
+    dm.query()
+    samples = {(3, *edge_from_id(res.ident)) for res in dm._slow.values() if isinstance(res, Sampled)}
+    extra = samples - dm._singles.keys()
+    assert (3, 0, x) in extra
+
+    text = f"H {n} 1 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
+    out = _traced_pass({"kind": "dynamic"}, text)
+    assert out["trace"]["counters"]["solve_sizes"] == [len(dm._singles) + len(extra)]
 
 
 def test_insert_pass():

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import GridL0Sampler, bank_key, edge_key, enumerate_oracle, key_parts, run_isolated, sweep_query
+from checks import (
+    GridL0Sampler,
+    bank_key,
+    covered_vertex,
+    edge_key,
+    enumerate_oracle,
+    key_parts,
+    run_isolated,
+    sweep_query,
+)
 
 from streammatch import dynamic
 from streammatch.dynamic import (
@@ -22,11 +31,11 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import solve_exact
+from streammatch.exact import KeyDescending, solve_exact
 from streammatch.l0sampler import EMPTY, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
-from streammatch.streams import GraphReplay, gen_planted
+from streammatch.streams import MAX_VERTICES, GraphReplay, gen_planted
 
 
 def test_edge_id_examples():
@@ -105,6 +114,18 @@ def test_preprocess_examples():
     for eps in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ParameterError):
             DynamicMatcher(16, 2, random.Random(0), mode="approx", eps=eps)
+
+
+def test_n_above_the_vertex_cap_is_refused():
+    # At this n the edge-id domain n(n-1)/2 is psi_13, the least strong
+    # pseudoprime to is_prime's bases, which would pass as the field prime.
+    n = 2575672364522
+    assert n * (n - 1) // 2 == 1287836182261 * 2575672364521
+    with pytest.raises(ParameterError, match="cap of 2"):
+        DynamicMatcher(n, 1, random.Random(0))
+    with pytest.raises(ParameterError, match="cap of 2"):
+        DynamicMatcher(MAX_VERTICES + 1, 1, random.Random(0))
+    assert DynamicMatcher(MAX_VERTICES, 1, random.Random(0)).n_ids < 1 << 81
 
 
 def test_preprocess_deterministic():
@@ -201,6 +222,7 @@ def _assert_index(dm):
                                   for key, rec in dm.bank.items() if len(rec.net) == 1)
     # ``_order`` holds the singles' keys (class, u, v), ascending.
     assert dm._order == sorted(dm._singles)
+    assert dm._single_total == sum(dm._singles.values())
     # Net vectors with at most one id may be shared, so they are never changed
     # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
     # two or more ids.
@@ -388,20 +410,16 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     # Every entry of (0, x) is shared with an edge (0, y), so (0, x) is no
     # single and reaches the solver only as a slow entry's sample, while the
     # other slow samples are edges (0, y) that are singles too.  The solver
-    # gets each sampled edge once, the singles first and key-descending.
+    # gets each sampled edge once, all of them key-descending.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(1), mode="approx" if eps else "exact", eps=eps)
-    by_value: dict[int, list[int]] = {}
-    for y in range(1, n):
-        for j in key_indices(y, dm.scheme):
-            by_value.setdefault(j, []).append(y)
-    x = next(x for x in range(1, n) if all(len(by_value[j]) >= 2 for j in key_indices(x, dm.scheme)))
-    others = {next(y for y in by_value[j] if y != x) for j in key_indices(x, dm.scheme)}
-    for u, v, w in [(0, x, 3)] + [(0, y, 3) for y in sorted(others)] + [(2, 3, 5), (4, 5, 1), (6, 7, 5)]:
+    x, others = covered_vertex(dm)
+    for u, v, w in [(0, x, 3)] + [(0, y, 3) for y in others] + [(2, 3, 5), (4, 5, 1), (6, 7, 5)]:
         dm.update(EdgeUpdate(u, v, w, True))
     assert (0, x) not in {(u, v) for _wc, u, v in dm._singles}
     inputs = []
-    monkeypatch.setattr(dynamic, "solve_exact", lambda edges, k: inputs.append(edges) or solve_exact(edges, k))
+    monkeypatch.setattr(dynamic, "solve_exact",
+                        lambda edges, k: inputs.append(list(edges)) or solve_exact(inputs[-1], k))
     answer, stats = sweep_query(dm)
     assert dm.query() == answer
     assert dm.last_query_stats == stats
@@ -410,10 +428,56 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     assert (0, x) in samples
     assert samples & {(u, v) for _wc, u, v in dm._singles}
     (edges,) = inputs
-    head = edges[: len(dm._order)]
-    assert head == sorted(head, key=edge_key, reverse=True)
+    assert edges == sorted(edges, key=edge_key, reverse=True)
     assert len(edges) == len(set(edges)) == len(dm._singles) + 1
-    assert edges[-1] == (0, x, dm.wclasses[weight_class(3, eps) if eps else 3])
+    assert (0, x, dm.wclasses[weight_class(3, eps) if eps else 3]) in edges
+
+
+def _solver_reads(monkeypatch, dm):
+    """The edges a query's solver reads from the view it is handed, in order,
+    and the view's length."""
+    reads, sizes = [], []
+
+    def tap(view):
+        for e in view:
+            reads.append(e)
+            yield e
+
+    def counting(edges, k):
+        sizes.append(len(edges))
+        return solve_exact(KeyDescending(tap(edges), len(edges)), k)
+
+    monkeypatch.setattr(dynamic, "solve_exact", counting)
+    answer = dm.query()
+    return answer, reads, sizes
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_query_reads_only_the_kernel(eps, monkeypatch):
+    # n/2 disjoint edges: at k=2 every edge read is kept, so the solver stops
+    # after (2k-2)(2k-1)+1 = 7 of them, the heaviest, however many are live.
+    n, k = 200, 2
+    dm = DynamicMatcher(n, k, random.Random(3), mode="approx" if eps else "exact", eps=eps)
+    for u in range(0, n, 2):
+        dm.update(EdgeUpdate(u, u + 1, u + 1, True))
+    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    assert sizes == [n // 2]
+    assert len(reads) == 7
+    assert reads == sorted(reads, key=edge_key, reverse=True)
+    assert {(u, v) for u, v, _w in reads} == {(u, u + 1) for u in range(n - 14, n, 2)}
+    assert {e[:2] for e in answer.edges} == {(n - 2, n - 1), (n - 4, n - 3)}
+
+
+def test_query_on_a_star_reads_every_edge(monkeypatch):
+    # Every spoke shares the centre, so the kernel keeps only 2k-1 = 3 of them
+    # and never fills: the solver reads the whole view, and finds no 2-matching.
+    n, k = 60, 2
+    dm = DynamicMatcher(n, k, random.Random(4))
+    for v in range(1, n):
+        dm.update(EdgeUpdate(0, v, v % 7, True))
+    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    assert answer is None
+    assert sizes == [n - 1] and len(reads) == n - 1
 
 
 def test_an_entry_with_a_count_of_two_decodes_as_the_grid():

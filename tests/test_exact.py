@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from checks import edge_key, enumerate_oracle, hub_graph, max_nice_matching
 
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import Matching, is_valid_matching, solve_exact
+from streammatch.exact import KeyDescending, Matching, is_valid_matching, solve_exact
 
 
 def test_single_edge():
@@ -174,6 +174,34 @@ def test_kernel_matches_oracle_on_hub_multigraphs():
         # repr tells Fraction(1, 1) from 1: the tie rule must pick the same copy
         assert repr(got) == repr(want), (trial, k, edges)
     assert wide_vertex and many_pairs and parallel
+
+
+def test_key_descending_view_agrees_with_a_shuffled_list():
+    # The solver reads a KeyDescending in its order, without a sort, up to the
+    # kernel; on multigraphs with parallel copies, ties and Fraction weights the
+    # answer is the one the same edges give as a shuffled list.
+    rng = random.Random(22)
+    for trial in range(1000):
+        k = rng.randint(1, 3)
+        if trial % 10 == 0:
+            edges = _saturated_graph(rng, max(k, 2))
+        else:
+            edges = _hub_multigraph(rng, rng.randint(2, 10), rng.randint(0, 22))
+        ordered = sorted(edges, key=edge_key, reverse=True)
+        shuffled = rng.sample(edges, len(edges))
+        got = solve_exact(KeyDescending(iter(ordered), len(ordered)), k)
+        assert got == solve_exact(shuffled, k), (trial, k, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 5), (2, 3, 6)],  # the weight rises
+    [(0, 1, 5), (2, 3, 5)],  # at one weight, u rises
+    [(0, 1, 5), (1, 1, 4)],  # a self-loop
+    [(2, 1, 5)],             # a reversed pair
+])
+def test_key_descending_view_rejects_a_broken_order_or_u_not_below_v(edges):
+    with pytest.raises(DomainError):
+        solve_exact(KeyDescending(iter(edges), len(edges)), 2)
 
 
 @pytest.mark.parametrize("k", [4, 5])

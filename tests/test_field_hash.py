@@ -7,6 +7,7 @@ from checks import reference_kwise
 
 from streammatch.errors import DomainError, ParameterError
 from streammatch.field_hash import (
+    PSI_13,
     KWiseHash,
     UniversalHash,
     is_prime,
@@ -30,6 +31,18 @@ def test_is_prime_catches_the_least_strong_pseudoprime_to_the_bases_through_37()
     assert psi12 == 399165290221 * 798330580441
     assert not is_prime(psi12)
     assert next_prime(psi12 - 10) == 318665857834031151167483
+
+
+def test_next_prime_stops_below_psi_13():
+    # psi_13 passes all of is_prime's bases, so next_prime refuses to reach it:
+    # the last prime below it is 168 lower, and every n above that is refused.
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(PSI_13)
+    last = PSI_13 - 168
+    assert next_prime(last) == last
+    for n in (last + 1, PSI_13, PSI_13 + 1):
+        with pytest.raises(ParameterError, match="psi_13"):
+            next_prime(n)
 
 
 class _FixedRng:

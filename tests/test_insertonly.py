@@ -253,6 +253,9 @@ def test_preprocess_validation():
         insert_preprocess(3, 2, 0.5, rng)
     with pytest.raises(ParameterError):
         insert_preprocess(16, 2, 0.0, rng)
+    # Above the vertex cap of 2^41; at this n the edge-id domain is psi_13.
+    with pytest.raises(ParameterError, match="cap of 2"):
+        insert_preprocess(2575672364522, 2, 0.5, rng)
 
 
 def test_insert_update_rejects_deletions():

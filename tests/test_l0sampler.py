@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from checks import GridL0Sampler
 
 from streammatch.errors import DomainError, ParameterError
-from streammatch.field_hash import next_prime
+from streammatch.field_hash import PSI_13, next_prime
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled, _field_prime, repetitions_for
 
 
@@ -41,6 +41,10 @@ def test_parameter_validation():
         L0Sampler(0, 0.5, random.Random(0))
     with pytest.raises(ParameterError):
         L0Sampler(4, 1.5, random.Random(0))
+    # psi_13 passes is_prime; a domain at or above it gets no field prime.
+    for n in (PSI_13, PSI_13 + 1, 1 << 90):
+        with pytest.raises(ParameterError, match="psi_13"):
+            L0Sampler(n, 0.5, random.Random(0))
     s = _sampler()
     with pytest.raises(DomainError):
         s.update(64, 1)
