@@ -83,7 +83,7 @@ from .exact import KeyDescending, Matching, solve_exact
 from .l0sampler import EMPTY, L0Sampler, Sampled
 from .partition import HashScheme, build_scheme, key_indices
 from .seeds import derive_seed
-from .streams import MAX_VERTICES
+from .streams import check_size
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,7 @@ class DynamicMatcher:
     """State of the dynamic pipeline for one stream."""
 
     def __init__(self, n: int, k: int, rng: random.Random, mode: str = "exact", eps=None):
-        if k < 1 or 2 * k > n:
-            raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-        if n > MAX_VERTICES:
-            raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
+        check_size(n, k)
         if mode not in ("exact", "approx"):
             raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
         if mode == "approx":

@@ -1,16 +1,16 @@
 """Insert-only streaming maximum-weight k-matching in O(k^2) space.
 
 Edges are totally ordered by their key (weight, smaller endpoint, larger
-endpoint); "heaviest" below always means largest under that order.  Each
-copy of the pipeline hashes vertices into 4k^2 parts through a universal
-hash and maintains, with window length q = k(16k-1):
+endpoint); "heaviest" below always means largest under that order.  The
+copies of the pipeline share one ``Windows``: ``prev`` and ``cur``, the
+raw edges of the previous and of the still-filling window, together at
+most 2q with window length q = k(16k-1).  Each copy hashes vertices into
+4k^2 parts through its own universal hash and maintains:
 
 * ``reduced_prev``   -- the reduced subgraph produced at the last window
   boundary (at most q edges);
-* ``prev_window`` / ``cur_window`` -- the raw edges of the previous and
-  the still-filling window, together at most 2q;
 * a resumable ``ReduceTask`` that recomputes the next reduced subgraph
-  over (reduced_prev, prev_window), staggered over the q updates of the
+  over (reduced_prev, prev), staggered over the q updates of the
   current window under a fixed per-update operation budget.  The task
   also holds the part pair of each reduced_prev edge: at most q pairs
   beside reduced_prev, so the copy's space is still O(k^2).
@@ -18,20 +18,21 @@ hash and maintains, with window length q = k(16k-1):
 The reduction keeps, of the compact subgraph (heaviest edge per part
 pair, intra-part edges dropped), only edges ranking at most 8k on BOTH
 incident parts, and of those the q heaviest.  A query unions every
-copy's reduced_prev with the raw windows, which all copies share, and
-solves exactly; the union is a subgraph of the true graph, so answers
-are one-sided.
-Copies are independent and each copy is single-owner mutable state;
-queries take a read-only snapshot.
+copy's reduced_prev with the shared raw windows and solves exactly; the
+union is a subgraph of the true graph, so answers are one-sided.
+Queries take a read-only snapshot.
 
-Window rotation at a boundary is pointer swaps only: the filled
-cur_window becomes prev_window (never mutated again), the completed
-task's output becomes reduced_prev, and a fresh task starts over those
-two now-frozen containers.  Per-update work is therefore constant in the
-worst case, not merely amortized.  A query issued exactly at a boundary
-sees the just-reduced subgraph plus the previous window, a subset of the
-raw three-window view that still contains the full reduction of the
-whole prefix.
+An update appends its edge to ``cur``; at a window boundary it rotates
+the windows once, by pointer swaps: the filled cur becomes prev, never
+mutated again.  It then steps each copy's task, whose tail is such a
+frozen prev; at a boundary the completed task's output becomes
+reduced_prev and a fresh task starts over those two frozen containers.
+A copy is charged 1 for the append and 2 for a rotation, and stores
+reduced_prev, both windows and its task's workspace.  Per-update work is
+therefore constant in the worst case, not merely amortized.  A query
+issued exactly at a boundary sees the just-reduced subgraph plus the
+previous window, a subset of the raw three-window view that still
+contains the full reduction of the whole prefix.
 
 A raw edge is hashed once per copy, when the task over its window scans
 it.  The fresh task is handed the part pairs of the completed task's
@@ -60,7 +61,7 @@ from .errors import DomainError, ModelError, ParameterError
 from .exact import Edge, Matching, solve_exact
 from .field_hash import UniversalHash, universal_draw
 from .l0sampler import repetitions_for
-from .streams import MAX_VERTICES
+from .streams import check_size
 
 PartFn = Callable[[int], int]
 
@@ -208,79 +209,77 @@ class ReduceTask:
         return spent
 
 
-class CopyState:
-    """One copy of the insert-only pipeline."""
+class Windows:
+    """The raw windows that every copy of one ``insert_preprocess`` shares."""
 
-    def __init__(self, n: int, k: int, f: UniversalHash):
+    def __init__(self, n: int, q: int):
         self.n = n
+        self.q = q
+        self.prev: list[Edge] = []
+        self.cur: list[Edge] = []
+
+
+class CopyState:
+    """One copy of the insert-only pipeline over the shared ``windows``."""
+
+    def __init__(self, windows: Windows, k: int, f: UniversalHash):
+        self.windows = windows
         self.k = k
         self.f = f
-        self.window_len = window_length(k)
+        self.window_len = windows.q
         self.budget = task_budget(k)
         self.reduced_prev: Sequence[Edge] = ()
-        self.prev_window: list[Edge] = []
-        self.cur_window: list[Edge] = []
-        self.task = ReduceTask(self.reduced_prev, (), self.prev_window, f, k)
+        self.task = ReduceTask(self.reduced_prev, (), windows.prev, f, k)
         self.max_update_ops = 0
         self.max_stored_edges = 0
-
-    def update(self, edge: Edge):
-        ops = self.task.step(self.budget) if not self.task.done else 0
-        self.cur_window.append(edge)
-        ops += 1
-        if len(self.cur_window) == self.window_len:
-            finished = self.task
-            assert finished.done, "reduce task must finish within its window"
-            self.reduced_prev = finished.result
-            self.prev_window = self.cur_window
-            self.cur_window = []
-            self.task = ReduceTask(self.reduced_prev, finished.pairs, self.prev_window, self.f, self.k)
-            ops += 2
-        if ops > self.max_update_ops:
-            self.max_update_ops = ops
-        stored = self.stored_edges()
-        if stored > self.max_stored_edges:
-            self.max_stored_edges = stored
-        assert stored <= 5 * self.window_len, f"stored {stored} edges, budget is 5q = {5 * self.window_len}"
-        assert len(self.reduced_prev) <= self.window_len
-        assert len(self.prev_window) + len(self.cur_window) <= 2 * self.window_len
-
-    def stored_edges(self) -> int:
-        return (len(self.reduced_prev) + len(self.prev_window) + len(self.cur_window)
-                + self.task.workspace)
 
 
 def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[CopyState]:
     """ceil(log2(1/delta)) independent copies, each with its own f: V -> [4k^2]."""
-    if k < 1 or 2 * k > n:
-        raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-    if n > MAX_VERTICES:
-        raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
+    check_size(n, k)
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    return [CopyState(n, k, universal_draw(n, 4 * k * k, rng)) for _ in range(repetitions_for(delta))]
+    windows = Windows(n, window_length(k))
+    return [CopyState(windows, k, universal_draw(n, 4 * k * k, rng)) for _ in range(repetitions_for(delta))]
 
 
 def insert_update(copies: Sequence[CopyState], edge: Edge):
     u, v, w = edge
     if not 0 <= u < v:
         raise DomainError(f"edge endpoints must satisfy 0 <= u < v, got ({u}, {v})")
-    n = copies[0].n  # every copy is built for the same n
-    if v >= n:
-        raise DomainError(f"vertex {v} outside [0, {n})")
+    windows = copies[0].windows
+    if v >= windows.n:
+        raise DomainError(f"vertex {v} outside [0, {windows.n})")
+    cur = windows.cur
+    cur.append(edge)
+    q = windows.q
+    rotate = len(cur) == q
+    if rotate:
+        windows.prev, windows.cur = cur, []
+    raw = len(windows.prev) + len(windows.cur)
+    assert raw <= 2 * q
     for copy in copies:
-        copy.update(edge)
+        task = copy.task
+        ops = 1 if task.done else task.step(copy.budget) + 1
+        if rotate:
+            assert task.done, "reduce task must finish within its window"
+            copy.reduced_prev = task.result
+            copy.task = ReduceTask(task.result, task.pairs, cur, copy.f, copy.k)
+            ops += 2
+        if ops > copy.max_update_ops:
+            copy.max_update_ops = ops
+        stored = len(copy.reduced_prev) + raw + copy.task.workspace
+        if stored > copy.max_stored_edges:
+            copy.max_stored_edges = stored
+        assert stored <= 5 * q, f"stored {stored} edges, budget is 5q = {5 * q}"
+        assert len(copy.reduced_prev) <= q
 
 
 def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:
-    """Union the copies' subgraphs (deduplicated) and solve exactly.
-
-    Every copy sees the same updates and rotates at the same ones, so all
-    copies hold the same raw windows: they are read from the first copy.
-    """
-    first = copies[0]
-    edges = set(first.prev_window)
-    edges.update(first.cur_window)
+    """Union the shared raw windows and every copy's reduced_prev (deduplicated) and solve exactly."""
+    windows = copies[0].windows
+    edges = set(windows.prev)
+    edges.update(windows.cur)
     for copy in copies:
         edges.update(copy.reduced_prev)
     return solve_exact(edges, k)

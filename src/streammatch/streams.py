@@ -14,10 +14,10 @@ digits before the point, so every weight and sum of weights prints.
 Endpoints are normalized to u < v at parse time.  A file must contain a
 header with 1 <= k <= n/2 and at least one query record.
 
-``MAX_VERTICES`` = 2^41 caps n, here and in ``DynamicMatcher`` and
-``insert_preprocess``.  Below it, the edge-id domain n(n-1)/2 and every
-prime drawn for a domain of that size stay below psi_13, under which
-``field_hash.is_prime`` is deterministic.
+``MAX_VERTICES`` = 2^41 caps n, here and in ``check_size``, which both
+matchers and ``gen_planted`` call.  Below it, the edge-id domain n(n-1)/2
+and every prime drawn for a domain of that size stay below psi_13, under
+which ``field_hash.is_prime`` is deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,15 @@ from .seeds import spawn_rng
 _WEIGHT_RE = re.compile(r"\d+(\.\d+)?")
 DIGITS_CAP = 1000
 MAX_VERTICES = 1 << 41
+
+
+def check_size(n: int, k: int):
+    """Refuse a size outside 1 <= k <= n/2 and n <= MAX_VERTICES."""
+    if k < 1 or 2 * k > n:
+        raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
+
 
 Record = tuple  # ("I", u, v, w) | ("D", u, v, w) | ("Q",)
 
@@ -218,12 +227,7 @@ def gen_planted(n: int, k: int, weights: int, m: int, del_rate: float, seed: int
     exists and OPT is None.  Deletions, when requested, remove noise edges
     at legal positions after their insertion.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if 2 * k > n:
-        raise ParameterError(f"need k <= n/2, got k={k}, n={n}")
-    if n > MAX_VERTICES:
-        raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
+    check_size(n, k)
     if weights < 1:
         raise ParameterError(f"weights must be >= 1, got {weights}")
     if m < 0:

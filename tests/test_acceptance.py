@@ -22,7 +22,7 @@ from checks import (
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate
 from streammatch.exact import solve_exact
 from streammatch.field_hash import universal_draw
-from streammatch.insertonly import insert_preprocess, task_budget, window_length
+from streammatch.insertonly import insert_preprocess, insert_update, task_budget, window_length
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import build_scheme
 from streammatch.seeds import derive_seed, spawn_rng
@@ -196,12 +196,12 @@ def test_criterion_08_staggering_equivalence():
         copy = copies[0]
         parts = {v: copy.f(v) for v in range(n)}
         q = copy.window_len
-        # The task of window j runs over reduced_prev + prev_window as they
+        # The task of window j runs over reduced_prev + windows.prev as they
         # stand right after boundary j-1 (empty for the first window).
         task_input: list = []
         expected_gf: list = []
         for pos, e in enumerate(stream, start=1):
-            copy.update(e)
+            insert_update(copies, e)
             if pos % q:
                 continue
             windows += 1
@@ -216,7 +216,7 @@ def test_criterion_08_staggering_equivalence():
             if produced != reduced_compact(task_input, parts.__getitem__, 2):
                 bad_outputs += 1
             expected_gf = produced
-            task_input = list(copy.reduced_prev) + list(copy.prev_window)
+            task_input = list(copy.reduced_prev) + list(copy.windows.prev)
     _report(8, "staggering equivalence", bad_outputs == 0 and bad_inputs == 0,
             f"{windows} windows over m in {{500, 10000}}: "
             f"input mismatches={bad_inputs}, output mismatches={bad_outputs}")

@@ -4,9 +4,12 @@
 callers look up (``BankSampler._materialize``, ``DynamicMatcher.query``,
 ...) and reads ``last_touched`` and ``last_query_stats``; a rename in
 ``src`` makes the traced pass fail or record nothing.  Each case runs the
-unchanged worker, as ``perfbench/run.py`` does, on a tiny input.
+unchanged worker, as ``perfbench/run.py`` does, on a tiny input; the
+coverage-guard cases run it on each workload's seed-1 input and apply
+``run.py``'s own checks.
 """
 
+import importlib.util
 import json
 import os
 import random
@@ -14,15 +17,28 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from checks import covered_vertex
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_from_id
+from streammatch.insertonly import insert_preprocess, insert_update
 from streammatch.l0sampler import Sampled
 from streammatch.partition import key_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
 MATCHER_SEED = 5
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_bench()
 
 
 def _traced_pass(cfg, text=""):
@@ -133,9 +149,62 @@ def test_insert_pass():
     assert out["trace"]["insertonly.update"]["calls"] == 2
 
 
+def test_insert_pass_across_rotations():
+    # 50 > 3q edges at k=1 (q=15) over 4 copies: the windows rotate three
+    # times, and the worker's counters equal those of a direct run.
+    n, k, delta = 20, 1, 1 / 16
+    rng = random.Random(7)
+    pairs = rng.sample([(u, v) for v in range(1, n) for u in range(v)], 50)
+    edges = [(u, v, rng.randint(1, 9)) for u, v in pairs]
+    copies = insert_preprocess(n, k, delta, random.Random(MATCHER_SEED))
+    for e in edges:
+        insert_update(copies, e)
+    assert len(copies) == 4 and len(edges) > 3 * copies[0].window_len
+    assert all(copy.reduced_prev for copy in copies)
+
+    text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
+    out = _traced_pass({"kind": "insert", "delta": delta}, text)
+    assert out["extra"]["insert"] == {
+        "charged_ops_max": max(copy.max_update_ops for copy in copies),
+        "charged_ops_budget": copies[0].budget,
+        "stored_edges_max": max(copy.max_stored_edges for copy in copies),
+        "stored_edges_bound": 5 * copies[0].window_len,
+    }
+
+
 def test_trials_pass():
     trials = dict(n=12, k=1, weights=3, m=10, del_rate=0.5, eps=0.1, count=2)
     out = _traced_pass({"kind": "trials", "trials": trials})
     assert out["report"]["trials"] == 2
     assert out["extra"]["bank"]["entries"] >= 1
     assert out["trace"]["trials.run_trials"]["calls"] == 1
+
+
+@pytest.mark.parametrize("name", list(BENCH.WORKLOADS))
+def test_workload_meets_its_coverage_guard(name):
+    # One traced pass on the workload's seed-1 input, built and checked by
+    # run.py's own code: a span its guard needs recorded calls, no span it
+    # forbids did, and every answer is sound, one per query.
+    spec = BENCH.WORKLOADS[name]
+    cfg = {"kind": spec["kind"], "src": BENCH.SRC, "matcher_seed": BENCH.derived_seed("matcher", name, 1)}
+    if spec["kind"] == "trials":
+        cfg["trials"] = BENCH.MC_TRIALS
+        text = ""
+    else:
+        inp = spec["make"](1)
+        text = BENCH.render(inp["n"], inp["k"], inp["records"])
+        if spec["kind"] == "insert":
+            cfg["delta"] = spec["delta"]
+    out = BENCH.run_pass(cfg, text, 1, time.monotonic())
+    assert out["errors"] == []
+    trace = out["trace"]
+    assert [span for span in BENCH.EXPECTED_SPANS[name] if trace[span]["calls"] == 0] == []
+    assert [span for span in BENCH.FORBIDDEN_SPANS.get(name, ()) if trace[span]["calls"] != 0] == []
+    if spec["kind"] == "trials":
+        check = BENCH.check_trials(out["events"])
+        check["unsound"] += out["report"]["one_sided_violations"]
+        queries = BENCH.MC_TRIALS["count"]
+    else:
+        check = BENCH.check_stream(inp["records"], out["answers"], inp["k"], inp["opt"], inp["planted"])
+        queries = sum(1 for rec in inp["records"] if rec[0] == "Q")
+    assert (check["unsound"], check["queries"]) == (0, queries)

@@ -12,6 +12,7 @@ from streammatch.insertonly import (
     CopyState,
     InsertOnlyMatcher,
     ReduceTask,
+    Windows,
     _heap_charge,
     insert_preprocess,
     insert_query,
@@ -228,12 +229,12 @@ def test_copy_hashes_each_raw_edge_once(monkeypatch):
             super().__init__(head, head_pairs, tail, part_of, k)
 
     monkeypatch.setattr(insertonly, "ReduceTask", RecordingTask)
-    copy = CopyState(60, k, part_of)
+    copy = CopyState(Windows(60, window_length(k)), k, part_of)
     q = copy.window_len
     pairs = rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 7 * q)
     edges = [(u, v, rng.randint(1, 9)) for u, v in pairs]
     for i, e in enumerate(edges, 1):
-        copy.update(e)
+        insert_update([copy], e)
         if i % q == 0:
             windows = i // q
             scanned = edges[:(windows - 1) * q]
@@ -271,7 +272,7 @@ def test_first_window_buffers_everything():
     for e in edges:
         insert_update(copies, e)
     assert not copy.reduced_prev
-    assert sorted(copy.prev_window + copy.cur_window) == sorted(edges)
+    assert sorted(copy.windows.prev + copy.windows.cur) == sorted(edges)
 
 
 def test_short_stream_answer_equals_oracle_exactly():
@@ -298,9 +299,10 @@ def test_buffer_and_storage_bounds():
     pairs = rng.sample([(u, v) for u in range(100) for v in range(u + 1, 100)], 5 * q)
     for u, v in pairs:
         insert_update(copies, (u, v, rng.randint(1, 9)))
-        assert len(copy.prev_window) + len(copy.cur_window) <= 2 * q
+        windows = copy.windows
+        assert len(windows.prev) + len(windows.cur) <= 2 * q
         assert len(copy.reduced_prev) <= q
-        assert copy.stored_edges() <= 5 * q
+        assert len(copy.reduced_prev) + len(windows.prev) + len(windows.cur) + copy.task.workspace <= 5 * q
 
 
 def test_per_update_ops_bounded():
@@ -329,8 +331,8 @@ def test_query_is_one_sided():
 
 
 def test_copies_share_raw_windows_and_query_reads_them_once():
-    # Copies rotate on the same updates, so their raw windows stay equal and
-    # the query's union equals the union over every copy's three containers.
+    # Every copy holds the one windows object, and the query's union equals
+    # the union over every copy's three containers.
     rng = random.Random(12)
     copies = insert_preprocess(60, 2, 1 / 16, rng)
     assert len(copies) == 4
@@ -339,14 +341,13 @@ def test_copies_share_raw_windows_and_query_reads_them_once():
     for i, (u, v) in enumerate(pairs):
         insert_update(copies, (u, v, rng.randint(1, 9)))
         for copy in copies:
-            assert copy.prev_window == first.prev_window
-            assert copy.cur_window == first.cur_window
+            assert copy.windows is first.windows
         if i % 20 == 0:
             union = set()
             for copy in copies:
                 union.update(copy.reduced_prev)
-                union.update(copy.prev_window)
-                union.update(copy.cur_window)
+                union.update(copy.windows.prev)
+                union.update(copy.windows.cur)
             assert insert_query(copies, 2) == solve_exact(union, 2)
 
 
