@@ -246,15 +246,13 @@ class DynamicMatcher:
         self._order: list[tuple] = []
 
     def update(self, upd: EdgeUpdate):
-        if upd.v >= self.n:
-            raise DomainError(f"vertex {upd.v} outside [0, {self.n})")
+        ident = edge_id(upd.u, upd.v, self.n)  # first: a refused edge changes no state
         slot = self._slots.get(upd.w)
         if slot is None:
             slot = self._new_weight(upd.w)
         wc = self._slot_class[slot]
         values_u = self._values.get(upd.u) or self._vertex_values(upd.u)
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
-        ident = edge_id(upd.u, upd.v, self.n)
         count = 1 if upd.insert else -1
         fresh = BankSampler({ident: count})  # held by every entry this update creates or refills
         moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}

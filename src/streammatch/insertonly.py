@@ -57,7 +57,7 @@ import heapq
 import random
 from typing import Callable, Sequence
 
-from .errors import DomainError, ModelError, ParameterError
+from .errors import DomainError, ModelError
 from .exact import Edge, Matching, solve_exact
 from .field_hash import UniversalHash, universal_draw
 from .l0sampler import repetitions_for
@@ -237,19 +237,15 @@ class CopyState:
 def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[CopyState]:
     """ceil(log2(1/delta)) independent copies, each with its own f: V -> [4k^2]."""
     check_size(n, k)
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     windows = Windows(n, window_length(k))
     return [CopyState(windows, k, universal_draw(n, 4 * k * k, rng)) for _ in range(repetitions_for(delta))]
 
 
 def insert_update(copies: Sequence[CopyState], edge: Edge):
     u, v, w = edge
-    if not 0 <= u < v:
-        raise DomainError(f"edge endpoints must satisfy 0 <= u < v, got ({u}, {v})")
     windows = copies[0].windows
-    if v >= windows.n:
-        raise DomainError(f"vertex {v} outside [0, {windows.n})")
+    if not 0 <= u < v < windows.n:
+        raise DomainError(f"need 0 <= u < v < n, got u={u}, v={v}, n={windows.n}")
     cur = windows.cur
     cur.append(edge)
     q = windows.q
@@ -264,6 +260,7 @@ def insert_update(copies: Sequence[CopyState], edge: Edge):
         if rotate:
             assert task.done, "reduce task must finish within its window"
             copy.reduced_prev = task.result
+            assert len(copy.reduced_prev) <= q
             copy.task = ReduceTask(task.result, task.pairs, cur, copy.f, copy.k)
             ops += 2
         if ops > copy.max_update_ops:
@@ -272,7 +269,6 @@ def insert_update(copies: Sequence[CopyState], edge: Edge):
         if stored > copy.max_stored_edges:
             copy.max_stored_edges = stored
         assert stored <= 5 * q, f"stored {stored} edges, budget is 5q = {5 * q}"
-        assert len(copy.reduced_prev) <= q
 
 
 def insert_query(copies: Sequence[CopyState], k: int) -> Matching | None:

@@ -84,6 +84,8 @@ def _recover(phi: int, iota: int, tau: int, z: int, n: int) -> int | None:
 
 
 def repetitions_for(delta: float) -> int:
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     # ceil(log2(1/delta)), exact: delta = m * 2^e with 1/2 <= m < 1, so
     # 2^-e <= 1/delta < 2^(1-e).  1/delta itself overflows for subnormal delta.
     return max(1, 1 - math.frexp(delta)[1])
@@ -112,8 +114,6 @@ class L0Sampler:
     def __init__(self, n: int, delta: float, rng: random.Random):
         if n < 1:
             raise ParameterError(f"domain size must be >= 1, got {n}")
-        if not 0.0 < delta < 1.0:
-            raise ParameterError(f"delta must lie in (0, 1), got {delta}")
         self.n = n
         self.reps = repetitions_for(delta)
         self.levels = levels_for(n)

@@ -8,16 +8,17 @@ comment):
     D <u> <v> <w>             delete edge uv (dynamic streams only)
     Q                         query marker
 
-Weights are parsed as exact scaled integers: with precision p, the token
-``1.25`` becomes 125.  ``DIGITS_CAP`` caps the precision and a weight's
-digits before the point, so every weight and sum of weights prints.
-Endpoints are normalized to u < v at parse time.  A file must contain a
-header with 1 <= k <= n/2 and at least one query record.
+Every integer field, and every digit of a weight, is ASCII 0-9: no sign,
+no ``_``, no other script's digits.  Weights are parsed as exact scaled
+integers: with precision p, the token ``1.25`` becomes 125.  ``DIGITS_CAP``
+caps the precision and a weight's digits before the point, so every weight
+and sum of weights prints.  Endpoints are normalized to u < v at parse
+time.  A file must contain one header and at least one query record.
 
-``MAX_VERTICES`` = 2^41 caps n, here and in ``check_size``, which both
-matchers and ``gen_planted`` call.  Below it, the edge-id domain n(n-1)/2
-and every prime drawn for a domain of that size stay below psi_13, under
-which ``field_hash.is_prime`` is deterministic.
+``MAX_VERTICES`` = 2^41 caps n in ``check_size``, which the header, both
+matchers and ``gen_planted`` pass through.  Below it, the edge-id domain
+n(n-1)/2 and every prime drawn for a domain of that size stay below
+psi_13, under which ``field_hash.is_prime`` is deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .errors import ModelError, ParameterError, StreamFormatError
 from .seeds import spawn_rng
 
-_WEIGHT_RE = re.compile(r"\d+(\.\d+)?")
+_WEIGHT_RE = re.compile(r"\d+(\.\d+)?", re.ASCII)
 DIGITS_CAP = 1000
 MAX_VERTICES = 1 << 41
 
@@ -106,18 +107,18 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "duplicate header")
             if len(fields) != 4:
                 raise StreamFormatError(line_no, "header needs: H <n> <k> <precision>")
+            if not all(f.isdigit() and f.isascii() for f in fields[1:]):
+                raise StreamFormatError(line_no, "header fields must be ASCII digits")
             try:
                 n, k, precision = (int(f) for f in fields[1:])
-            except ValueError:
-                raise StreamFormatError(line_no, "header fields must be integers") from None
-            if n < 2 or k < 1 or precision < 0:
-                raise StreamFormatError(line_no, f"bad header values n={n}, k={k}, precision={precision}")
-            if n > MAX_VERTICES:
-                raise StreamFormatError(line_no, f"n={n} is above the cap of 2^41 vertices")
+            except ValueError:  # more digits than int() converts
+                raise StreamFormatError(line_no, "header field has too many digits") from None
+            try:
+                check_size(n, k)
+            except ParameterError as exc:
+                raise StreamFormatError(line_no, str(exc)) from None
             if precision > DIGITS_CAP:
                 raise StreamFormatError(line_no, f"precision {precision} is above the cap of {DIGITS_CAP}")
-            if 2 * k > n:
-                raise StreamFormatError(line_no, f"need k <= n/2, got k={k}, n={n}")
             header = (n, k, precision)
             continue
         if header is None:
@@ -131,12 +132,15 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
             raise StreamFormatError(line_no, "deletion in insert-only mode")
         if len(fields) != 4:
             raise StreamFormatError(line_no, f"{tag} record needs: {tag} <u> <v> <w>")
+        a, b = fields[1], fields[2]
+        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            raise StreamFormatError(line_no, "vertex ids must be ASCII digits")
         try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise StreamFormatError(line_no, "vertex ids must be integers") from None
+            u, v = int(a), int(b)
+        except ValueError:  # more digits than int() converts
+            raise StreamFormatError(line_no, "vertex id has too many digits") from None
         n = header[0]
-        if not (0 <= u < n and 0 <= v < n):
+        if not (u < n and v < n):
             raise StreamFormatError(line_no, f"vertex id outside [0, {n})")
         if u == v:
             raise StreamFormatError(line_no, "self-loops are not allowed")

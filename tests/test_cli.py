@@ -149,7 +149,7 @@ def test_run_approx_prints_weights_on_the_stream_scale(tmp_path, capsys, text, e
     ("H 4 1 0\nI 0 1 0\nQ\n", "dynamic-approx", "error: line 2: weight classes need w > 0, got 0"),
     ("H 4 1 0\n# note\n\nI 0 1 5\nD 0 1 5\nD 0 1 5\nQ\n", "dynamic",
      "error: line 6: deletion of dead edge (0, 1)"),
-    ("H 4 3 0\nI 0 1 5\nQ\n", "dynamic", "error: line 1: need k <= n/2, got k=3, n=4"),
+    ("H 4 3 0\nI 0 1 5\nQ\n", "dynamic", "error: line 1: need 1 <= k <= n/2, got k=3, n=4"),
     ("H 4 1 5000\nI 0 1 5\nQ\n", "dynamic-approx", "error: line 1: precision 5000 is above the cap of 1000"),
     (f"H 4 1 0\nI 0 1 {'7' * 5000}\nQ\n", "insert",
      "error: line 2: weight has more than 1000 digits before the point"),
@@ -163,6 +163,29 @@ def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     captured = capsys.readouterr()
     assert "query" not in captured.out
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("H 1_0 2 0\nQ\n", "line 1: header fields must be ASCII digits"),
+    ("H 4 +1 0\nQ\n", "line 1: header fields must be ASCII digits"),
+    (f"H {'4' * 5000} 1 0\nQ\n", "line 1: header field has too many digits"),
+    ("H 4 1 0\nI +2 1 5\nQ\n", "line 2: vertex ids must be ASCII digits"),
+    ("H 4 1 0\nI -0 1 5\nQ\n", "line 2: vertex ids must be ASCII digits"),
+    ("H 4 1 0\nI 0 \u0663 5\nQ\n", "line 2: vertex ids must be ASCII digits"),
+    (f"H 4 1 0\nI 0 {'1' * 5000} 5\nQ\n", "line 2: vertex id has too many digits"),
+    ("H 4 1 0\nI 0 1 \uff15\nQ\n", "line 2: bad weight '\uff15'"),
+], ids=["underscore-n", "signed-k", "n-of-5000-digits", "signed-u", "signed-zero-u", "arabic-indic-v",
+        "v-of-5000-digits", "fullwidth-weight"])
+def test_a_refused_number_names_its_line(tmp_path, capsys, command, text, message):
+    # int() or a Unicode \d takes each of these numbers but the two of 5000 digits.
+    path = tmp_path / "stream.txt"
+    path.write_text(text, encoding="utf-8")
+    options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
+    assert main([command, *options, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])

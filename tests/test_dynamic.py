@@ -142,6 +142,24 @@ def test_first_update_creates_d2_squared_entries():
     assert dm.last_touched == family_size * family_size
 
 
+def test_a_refused_update_leaves_the_matcher_as_it_was():
+    # The edge is checked before its weight's class or its vertices' values
+    # are kept, so a refused update changes no state.
+    n = 16
+    dm = DynamicMatcher(n, 2, random.Random(1))
+    dm.update(EdgeUpdate(1, 2, 7, True))
+    dm.update(EdgeUpdate(2, 3, 5, True))
+
+    def state():
+        bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
+        return dict(dm.wclasses), dict(dm._values), bank, dict(dm._singles)
+
+    before = state()
+    with pytest.raises(DomainError):
+        dm.update(EdgeUpdate(0, n, 9, True))  # vertex 0 and weight 9 are new
+    assert state() == before
+
+
 def test_insert_then_delete_restores_state():
     dm = DynamicMatcher(16, 2, random.Random(1))
     dm.update(EdgeUpdate(0, 1, 7, True))

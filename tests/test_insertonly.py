@@ -6,7 +6,7 @@ import pytest
 from checks import ReferenceReduceTask, _pair_key, compact, enumerate_oracle, max_nice_matching, reduced_compact
 
 from streammatch import insertonly
-from streammatch.errors import ModelError, ParameterError
+from streammatch.errors import DomainError, ModelError, ParameterError
 from streammatch.exact import solve_exact
 from streammatch.insertonly import (
     CopyState,
@@ -263,6 +263,14 @@ def test_insert_update_rejects_deletions():
     matcher = InsertOnlyMatcher(16, 2, 0.5, random.Random(1))
     with pytest.raises(ModelError):
         matcher.update(EdgeUpdate(0, 1, 3, False))
+
+
+@pytest.mark.parametrize("edge", [(0, 16, 3), (1, 1, 3), (2, 1, 3), (-1, 1, 3)])
+def test_insert_update_rejects_an_edge_outside_its_domain(edge):
+    copies = insert_preprocess(16, 2, 0.5, random.Random(1))
+    with pytest.raises(DomainError, match="need 0 <= u < v < n"):
+        insert_update(copies, edge)
+    assert not copies[0].windows.cur
 
 
 def test_first_window_buffers_everything():

@@ -77,6 +77,15 @@ def test_only_cr_and_lf_end_a_line(sep):
         "H 4 1 0\nI 0 1 5\n",              # no query record
         "H 4 3 0\nQ\n",                    # k above n/2
         "",                                # missing header
+        # Numbers are ASCII digits; int() takes all but the two 5000-digit ones.
+        "H 1_0 2 0\nQ\n",                  # underscore in n
+        "H 4 +1 0\nQ\n",                   # sign on k
+        "H 4 1 0\nI +2 1 5\nQ\n",          # sign on a vertex id
+        "H 4 1 0\nI -0 1 5\nQ\n",          # negative zero vertex id
+        "H 4 1 0\nI 0 \u0663 5\nQ\n",      # Arabic-Indic digit three
+        "H 4 1 0\nI 0 1 \uff15\nQ\n",      # fullwidth digit five as weight
+        pytest.param(f"H 4 1 0\nI 0 {'1' * 5000} 5\nQ\n", id="vertex-id-of-5000-digits"),
+        pytest.param(f"H {'4' * 5000} 1 0\nQ\n", id="header-n-of-5000-digits"),
     ],
 )
 def test_parse_errors(text):
