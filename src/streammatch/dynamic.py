@@ -37,27 +37,22 @@ same count of its id), and every entry a deletion empties holds
 ``EMPTY_ENTRY``.  A value with two or more ids belongs to one entry and is
 changed in place.
 
-Because the outcome of an entry with at most one id is known without
-decoding it, the matcher keeps an incremental index instead of sweeping
-the bank at each query: the number of entries whose net vector is exactly
-{id}, per (weight class, u, v) of that id's edge, and the "slow" entries,
-those holding two or more ids, each with its decoded outcome or None.
-``update`` moves entries between the two as their support size crosses 1
-and 2, and resets a slow entry's outcome to None whenever it touches the
-entry.  The index also keeps the singles' keys in order: ``_order`` holds
-them ascending, and changes only when a single's count crosses 0 (a bisect
-and a list insert or delete), and ``_single_total`` is the sum of their
-counts.  A query decodes only the slow entries whose outcome is None,
-keeping each outcome until the entry is next touched, and gives the same
-answers and the same ``QueryStats`` as a sweep of the bank.  Class order is
-reported-weight order in both modes, so ``reversed(_order)`` gives the
-single edges key-descending; the slow entries' samples that are not singles
-are sorted and merged in at their key positions, and the solver is handed
-that merge as a lazy ``KeyDescending`` view.  It reads the view only until
-its kernel is full, so beyond the slow entries a query costs about as much
-as the kernel scan, not as much as the live graph: 7 edges at k=2 when the
-edges are disjoint, and all of them when the kernel's rank rule drops so
-many that it never fills, as on a star or on a few hubs.
+An entry's outcome is fixed by its seed and net vector, so the matcher
+keeps one index of the sampled edges instead of sweeping the bank at each
+query: ``_sampled`` counts, per (weight class, u, v), the entries whose
+outcome is that edge.  An entry holding exactly {id} counts at once; a
+slow entry, with two or more ids, through its last decoded outcome, kept
+in ``_slow`` (``EMPTY``, which counts toward nothing, until then).
+``update`` moves the counts as an entry's support size crosses 1 and 2,
+and marks the slow entries it touches in ``_dirty``.  A query decodes only
+those, so after no update it decodes nothing, and with running totals of
+the sampled and FAIL outcomes it gives the answers and ``QueryStats`` of a
+sweep of the bank.  ``_order`` holds the sampled keys ascending, and class
+order is reported-weight order in both modes, so ``reversed(_order)`` is
+key-descending: the solver reads it lazily, as a ``KeyDescending`` view,
+until its kernel is full, 7 edges at k=2 when the edges are disjoint, and
+to the end when the kernel's rank rule drops so many that it never fills,
+as on a star or on a few hubs.
 
 A vertex's values (``key_indices``) and a weight's class and slot are
 computed once per matcher, on the first update that names them, and
@@ -75,12 +70,11 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from math import isqrt
 
 from .errors import DomainError, ParameterError
 from .exact import KeyDescending, Matching, solve_exact
-from .l0sampler import EMPTY, L0Sampler, Sampled
+from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled, levels_for, repetitions_for
 from .partition import HashScheme, build_scheme, key_indices
 from .seeds import derive_seed
 from .streams import check_size
@@ -236,14 +230,12 @@ class DynamicMatcher:
         self._values: dict[int, list[int]] = {}  # vertex -> key_indices(vertex)
         self.last_touched = 0
         self.last_query_stats = QueryStats()
-        # The query index (module docstring): entries whose net vector is
-        # exactly {id}, counted per (weight class, u, v) of that id's edge,
-        # and the slow entries, key -> decoded outcome, or None if not
-        # decoded since the last touch; and the keys of ``_singles``, ascending.
-        self._singles: dict[tuple, int] = {}
-        self._single_total = 0  # sum of the counts in ``_singles``
-        self._slow: dict[int, object] = {}
-        self._order: list[tuple] = []
+        self._sampled: dict[tuple, int] = {}  # (class, u, v) -> entries sampling it (module docstring)
+        self._order: list[tuple] = []  # the keys of ``_sampled``, ascending
+        self._sampled_total = 0  # sum of the counts in ``_sampled``
+        self._failed_total = 0  # slow entries whose counted outcome is FAIL
+        self._slow: dict[int, object] = {}  # slow key -> its counted outcome
+        self._dirty: set[int] = set()  # slow keys touched since their last decode
 
     def update(self, upd: EdgeUpdate):
         ident = edge_id(upd.u, upd.v, self.n)  # first: a refused edge changes no state
@@ -258,6 +250,7 @@ class DynamicMatcher:
         moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}
         bank = self.bank
         slow = self._slow
+        dirty = self._dirty
         r = self._range_size
         base = slot * r
         gained = 0  # change in the number of entries that are exactly {ident}
@@ -279,10 +272,11 @@ class DynamicMatcher:
                     else:
                         del net[ident]
                     if len(net) >= 2:
-                        slow[key] = None  # changed, so decoded again at the next query
-                    else:  # 2 -> 1: the other id becomes a single
-                        self._count_single((wc, *edge_from_id(next(iter(net)))), 1)
-                        del slow[key]
+                        dirty.add(key)  # changed, so decoded again at the next query
+                    else:  # 2 -> 1: the counted outcome goes, and the other id counts as a single
+                        self._tally(wc, slow.pop(key), -1)
+                        dirty.discard(key)
+                        self._count((wc, *edge_from_id(next(iter(net)))), 1)
                 elif not net:  # 0 -> 1, a refill
                     bank[key] = fresh
                     gained += 1
@@ -290,8 +284,9 @@ class DynamicMatcher:
                     ((other, c),) = net.items()
                     if other != ident:  # 1 -> 2
                         bank[key] = BankSampler({other: c, ident: count})
-                        self._count_single((wc, *edge_from_id(other)), -1)
-                        slow[key] = None
+                        self._count((wc, *edge_from_id(other)), -1)
+                        slow[key] = EMPTY
+                        dirty.add(key)
                     elif c + count:  # 1 -> 1; every entry of this edge and class holds c
                         if moved is None:
                             moved = BankSampler({ident: c + count})
@@ -300,7 +295,7 @@ class DynamicMatcher:
                         bank[key] = EMPTY_ENTRY
                         gained -= 1
         if gained:
-            self._count_single((wc, upd.u, upd.v), gained)
+            self._count((wc, upd.u, upd.v), gained)
         self.updates_applied += 1
         touched = len(values_u) * len(values_v)
         self.last_touched = touched
@@ -321,63 +316,49 @@ class DynamicMatcher:
         assert all(i < self._range_size for i in values)
         return values
 
-    def _count_single(self, single: tuple, delta: int):
-        self._single_total += delta
-        old = self._singles.get(single, 0)
+    def _count(self, edge: tuple, delta: int):
+        self._sampled_total += delta
+        old = self._sampled.get(edge, 0)
         c = old + delta
         if c:
-            self._singles[single] = c
+            self._sampled[edge] = c
             if not old:
-                insort(self._order, single)
+                insort(self._order, edge)
         else:
-            del self._singles[single]
-            del self._order[bisect_left(self._order, single)]
+            del self._sampled[edge]
+            del self._order[bisect_left(self._order, edge)]
+
+    def _tally(self, wc, outcome, delta: int):
+        if isinstance(outcome, Sampled):
+            self._count((wc, *edge_from_id(outcome.ident)), delta)
+        elif outcome is FAIL:
+            self._failed_total += delta
 
     def _assert_budgets(self, touched: int):
         pair_count = self._pair_count
         assert touched == pair_count, f"touched {touched} samplers, expected family_size^2 = {pair_count}"
-        bound = min(
-            self.updates_applied * pair_count,
-            len(self.wclasses) * self._range_size**2,
-        )
+        bound = min(self.updates_applied * pair_count, len(self.wclasses) * self._range_size**2)
         assert len(self.bank) <= bound, f"bank size {len(self.bank)} exceeds bound {bound}"
 
     def query(self) -> Matching | None:
         """Sample every bank entry once and solve exactly on the sampled edges.
 
-        Entries with at most one id are read off the index; a slow entry is
-        decoded only if it changed since its last decode.  Repeatable:
-        back-to-back queries agree.
+        Only the slow entries touched since the last query are decoded.
+        Repeatable: back-to-back queries agree.
         """
-        singles = self._singles
-        n_singles = self._single_total
-        stats = QueryStats(sampled=n_singles, empty=len(self.bank) - n_singles - len(self._slow))
-        slow = self._slow
         per_slot = self._range_size**2
-        extra = set()  # sampled edges that are not singles
-        for key, res in slow.items():
-            if res is None:
-                sketch = self.bank[key]._materialize(self._seeds[key], self.n_ids, self.delta)
-                res = slow[key] = sketch.query()
-            if isinstance(res, Sampled):
-                stats.sampled += 1
-                edge = (self._slot_class[key // per_slot], *edge_from_id(res.ident))
-                if edge not in singles:
-                    extra.add(edge)
-            elif res is EMPTY:
-                stats.empty += 1
-            else:
-                stats.failed += 1
-        self.last_query_stats = stats
+        for key in self._dirty:
+            res = self.bank[key]._materialize(self._seeds[key], self.n_ids, self.delta).query()
+            wc = self._slot_class[key // per_slot]
+            self._tally(wc, res, 1)  # in before out: an unchanged edge keeps its place in _order
+            self._tally(wc, self._slow[key], -1)
+            self._slow[key] = res
+        self._dirty.clear()
+        sampled, failed = self._sampled_total, self._failed_total
+        self.last_query_stats = QueryStats(sampled, len(self.bank) - sampled - failed, failed)
         wclasses = self.wclasses
-        # Class order is reported-weight order, so (class, u, v) order is key
-        # order: the singles and the sorted extras merge key-descending, and
-        # the solver reads them lazily, up to its kernel.  A merge costs a
-        # step per edge, so the singles alone are not merged.
-        order = reversed(self._order)
-        merged = merge(order, sorted(extra, reverse=True), reverse=True) if extra else order
-        edges = KeyDescending(((u, v, wclasses[wc]) for wc, u, v in merged), len(self._order) + len(extra))
-        return solve_exact(edges, self.k)
+        edges = ((u, v, wclasses[wc]) for wc, u, v in reversed(self._order))
+        return solve_exact(KeyDescending(edges, len(self._order)), self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:
@@ -387,6 +368,4 @@ def abstract_sampler_words(n_ids: int, delta: float) -> int:
     domain size; the lazy bank representation is accounted at this
     word-level cost, the cost model the space budgets are stated in.
     """
-    from .l0sampler import levels_for, repetitions_for
-
     return repetitions_for(delta) * levels_for(n_ids) * 6 + 2

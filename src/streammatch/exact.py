@@ -38,7 +38,7 @@ key per edge.  Edges wrapped in ``KeyDescending`` declare key-descending
 order instead, and are not sorted: the scan reads them lazily, checks
 each one it reads (u < v, and a key no larger than the one before, else
 DomainError) and stops at rule 3, so only the kernel prefix is read.  A
-dynamic query hands its live edges over this way.
+dynamic query hands its sampled edges over this way.
 
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes

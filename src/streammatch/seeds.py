@@ -17,8 +17,11 @@ import random
 
 
 def derive_seed(master: int, *path) -> int:
-    # One message, one hash: "%s" formats each part as str() does.
-    message = str(master) + "/%s" * len(path) % path
+    try:  # one message, one hash: "%s" formats each part as str() does
+        message = str(master) + "/%s" * len(path) % path
+    except ValueError:  # an int with more digits than PYTHONINTMAXSTRDIGITS lets str() make
+        from .streams import int_digits
+        message = "/".join(int_digits(p) if isinstance(p, int) else str(p) for p in (master, *path))
     return int.from_bytes(hashlib.sha256(message.encode()).digest()[:8], "big")
 
 

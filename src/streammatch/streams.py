@@ -12,8 +12,10 @@ Every integer field, and every digit of a weight, is ASCII 0-9: no sign,
 no ``_``, no other script's digits.  Weights are parsed as exact scaled
 integers: with precision p, the token ``1.25`` becomes 125.  ``DIGITS_CAP``
 caps the precision and a weight's digits before the point, so every weight
-and sum of weights prints.  Endpoints are normalized to u < v at parse
-time.  A file must contain one header and at least one query record.
+and sum of weights prints; weights are read and printed ``_CHUNK`` digits
+at a time, under the least limit PYTHONINTMAXSTRDIGITS sets (640), so no
+setting refuses one.  Endpoints are normalized to u < v at parse time.  A
+file must contain one header and at least one query record.
 
 ``MAX_VERTICES`` = 2^41 caps n in ``check_size``, which the header, both
 matchers and ``gen_planted`` pass through.  Below it, the edge-id domain
@@ -33,6 +35,7 @@ from .seeds import spawn_rng
 _WEIGHT_RE = re.compile(r"\d+(\.\d+)?", re.ASCII)
 DIGITS_CAP = 1000
 MAX_VERTICES = 1 << 41
+_CHUNK = 600
 
 
 def check_size(n: int, k: int):
@@ -63,15 +66,29 @@ def scale_weight(token: str, precision: int, line_no: int = 0) -> int:
     if len(frac) > precision:
         raise StreamFormatError(
             line_no, f"weight {token!r} has more than {precision} decimal places")
-    return int(whole) * 10**precision + int(frac.ljust(precision, "0") or "0")
+    return digits_int(whole + frac.ljust(precision, "0"))
+
+
+def digits_int(digits: str) -> int:
+    """int(digits) for ASCII digits, made _CHUNK digits at a time."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    return digits_int(digits[:-_CHUNK]) * 10**_CHUNK + int(digits[-_CHUNK:])
+
+
+def int_digits(x: int) -> str:
+    """str(x) for an int x >= 0, made _CHUNK digits at a time."""
+    if x < 10**_CHUNK:
+        return str(x)
+    high, low = divmod(x, 10**_CHUNK)
+    return int_digits(high) + str(low).zfill(_CHUNK)
 
 
 def format_weight(w, precision: int) -> str:
     """w / 10**precision: exactly for a scaled int, else to six significant digits."""
     if isinstance(w, int):
-        if precision == 0:
-            return str(w)
-        return f"{w // 10**precision}.{w % 10**precision:0{precision}d}"
+        text = int_digits(w).zfill(precision + 1)
+        return f"{text[:-precision]}.{text[-precision:]}" if precision else text
     x = w / 10**precision
     if 2.0**-1022 <= x <= 1.7976931348623157e308:  # the normal floats, whose six digits hold
         return f"{float(x):.6g}"
@@ -186,7 +203,7 @@ class GraphReplay:
         pair = (u, v)
         first = self._first_weight.setdefault(pair, w)
         if first != w:
-            raise ModelError(f"weight of edge {pair} changed from {first} to {w}")
+            raise ModelError(f"weight of edge {pair} changed from {int_digits(first)} to {int_digits(w)}")
         if tag == "I":
             if pair in self.live:
                 raise ModelError(f"duplicate insertion of live edge {pair}")

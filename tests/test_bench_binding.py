@@ -115,7 +115,8 @@ def test_solver_input_is_every_live_edge():
     dm = DynamicMatcher(n, k, random.Random(MATCHER_SEED))
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
-    assert {(u, v) for _wc, u, v in dm._singles} == {(u, v) for u, v, _w in edges}
+    # Every live edge is a single: before the first query the index counts only singles.
+    assert {(u, v) for _wc, u, v in dm._sampled} == {(u, v) for u, v, _w in edges}
 
     text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
@@ -126,21 +127,23 @@ def test_solver_input_counts_slow_samples_that_are_not_singles():
     # Every entry of (0, x) is shared with another edge (0, y), so (0, x) is
     # no single and reaches the solver only as a slow entry's sample.  The
     # solver is handed a lazy view; the counter still records its length,
-    # the singles plus those extra samples.
+    # the distinct sampled edges: the singles plus those extra samples.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
     x, others = covered_vertex(dm)
     edges = [(0, x, 3)] + [(0, y, 3) for y in others] + [(2, 3, 5), (4, 5, 1)]
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
+    singles = set(dm._sampled)  # before the first query, slow entries count as nothing
     dm.query()
     samples = {(3, *edge_from_id(res.ident)) for res in dm._slow.values() if isinstance(res, Sampled)}
-    extra = samples - dm._singles.keys()
+    extra = samples - singles
     assert (3, 0, x) in extra
+    assert dm._sampled.keys() == singles | extra
 
     text = f"H {n} 1 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
-    assert out["trace"]["counters"]["solve_sizes"] == [len(dm._singles) + len(extra)]
+    assert out["trace"]["counters"]["solve_sizes"] == [len(singles) + len(extra)]
 
 
 def test_insert_pass():

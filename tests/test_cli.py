@@ -3,6 +3,8 @@ import io
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from checks import hub_graph, run_isolated
 
+import streammatch
 from streammatch import cli
 from streammatch.cli import main
 from streammatch.exact import Matching
@@ -235,6 +238,40 @@ def test_run_refuses_a_precision_too_large_to_scale_by(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: line 1: precision 100000000 is above the cap of 1000\n"
+
+
+def _main_under_digit_limit(args):
+    """``main(args)`` in a fresh interpreter under PYTHONINTMAXSTRDIGITS=640,
+    the least limit on the digits int() and str() convert that it takes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streammatch.__file__)))
+    code = ("import sys; assert sys.get_int_max_str_digits() == 640; "
+            f"from streammatch.cli import main; sys.exit(main({args!r}))")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("options", [["run", "--model", "dynamic", "--seed", "1"],
+                                     ["run", "--model", "insert", "--seed", "1"], ["verify"]],
+                         ids=["run-dynamic", "run-insert", "verify"])
+@pytest.mark.parametrize("precision, weight", [(0, "7" * 700), (3, "9" * 1000 + ".125")], ids=["700", "1003"])
+def test_a_weight_past_the_int_digit_limit_prints_whole(tmp_path, options, precision, weight):
+    path = tmp_path / "stream.txt"
+    path.write_text(f"H 10 1 {precision}\nI 0 1 {weight}\nQ\n")
+    proc = _main_under_digit_limit([*options, str(path)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    shown = "oracle weight" if options == ["verify"] else "weight"
+    assert proc.stdout.startswith(f"query 1: {shown}={weight} edges: (0,1,{weight})\n")
+
+
+@pytest.mark.parametrize("options", [["run", "--model", "dynamic", "--seed", "1"], ["verify"]],
+                         ids=["run", "verify"])
+def test_a_changed_weight_past_the_int_digit_limit_names_its_line(tmp_path, options):
+    weight = "7" * 700
+    path = tmp_path / "stream.txt"
+    path.write_text(f"H 10 1 0\nI 0 1 {weight}\nD 0 1 5\nQ\n")
+    proc = _main_under_digit_limit([*options, str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: line 3: weight of edge (0, 1) changed from {weight} to 5\n"
 
 
 @pytest.mark.parametrize("delta", ["5e-324", "1e-320"])

@@ -32,7 +32,7 @@ from streammatch.dynamic import (
 )
 from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import KeyDescending, solve_exact
-from streammatch.l0sampler import EMPTY, Sampled
+from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
 from streammatch.streams import MAX_VERTICES, GraphReplay, gen_planted
@@ -152,7 +152,9 @@ def test_a_refused_update_leaves_the_matcher_as_it_was():
 
     def state():
         bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
-        return dict(dm.wclasses), dict(dm._values), bank, dict(dm._singles)
+        index = (dict(dm._sampled), list(dm._order), dm._sampled_total, dm._failed_total,
+                 dict(dm._slow), set(dm._dirty))
+        return dict(dm.wclasses), dict(dm._values), bank, index
 
     before = state()
     with pytest.raises(DomainError):
@@ -229,18 +231,24 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
 
 
 def _assert_index(dm):
-    # One index rule: an entry is slow exactly when it holds two or more ids,
-    # and a slow entry's kept outcome is the one a fresh decode gives.
+    # One index rule: an entry is slow exactly when it holds two or more ids;
+    # only slow entries are dirty, and a slow entry that is not dirty keeps
+    # the outcome a fresh decode gives.
     assert dm._slow.keys() == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
-    for key, outcome in dm._slow.items():
-        if outcome is not None:
-            assert outcome == dm.bank[key]._materialize(dm._seeds[key], dm.n_ids, dm.delta).query(), key
-    # Every entry whose net vector is exactly {id} counts once at its edge and class.
-    assert dm._singles == Counter((key_parts(dm, key)[2], *edge_from_id(next(iter(rec.net))))
-                                  for key, rec in dm.bank.items() if len(rec.net) == 1)
-    # ``_order`` holds the singles' keys (class, u, v), ascending.
-    assert dm._order == sorted(dm._singles)
-    assert dm._single_total == sum(dm._singles.values())
+    assert dm._dirty <= dm._slow.keys()
+    for key in dm._slow.keys() - dm._dirty:
+        assert dm._slow[key] == dm.bank[key]._materialize(dm._seeds[key], dm.n_ids, dm.delta).query(), key
+    # Every entry whose net vector is exactly {id}, and every slow entry whose
+    # counted outcome samples an id, counts once at that edge and class.
+    singles = Counter((key_parts(dm, key)[2], *edge_from_id(next(iter(rec.net))))
+                      for key, rec in dm.bank.items() if len(rec.net) == 1)
+    samples = Counter((key_parts(dm, key)[2], *edge_from_id(res.ident))
+                      for key, res in dm._slow.items() if isinstance(res, Sampled))
+    assert dm._sampled == singles + samples
+    # ``_order`` holds the sampled keys (class, u, v), ascending.
+    assert dm._order == sorted(dm._sampled)
+    assert dm._sampled_total == sum(dm._sampled.values())
+    assert dm._failed_total == sum(1 for res in dm._slow.values() if res is FAIL)
     # Net vectors with at most one id may be shared, so they are never changed
     # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
     # two or more ids.
@@ -409,18 +417,96 @@ def test_changed_entry_is_decoded_again():
     assert isinstance(first, Sampled)
     dead = edge_from_id(first.ident)
     dm.update(EdgeUpdate(*dead, 3, False))  # 3 -> 2: the sampled id leaves
-    assert dm._slow[key] is None
+    assert key in dm._dirty and dm._slow[key] == first  # counted until the next query
     check()
     assert dead not in {(u, v) for u, v, _w in (dm.query().edges)}
     assert dm._slow[key] != first
     live = edge_from_id(next(iter(dm.bank[key].net)))
     dm.update(EdgeUpdate(*live, 3, True))  # a duplicate insert: a count changes at two ids
-    assert len(dm.bank[key].net) == 2 and dm._slow[key] is None
+    assert len(dm.bank[key].net) == 2 and key in dm._dirty
     check()
+    assert not dm._dirty
     dm.update(EdgeUpdate(*live, 3, False))
     dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
-    assert dm._slow[key] is None
+    assert key in dm._dirty
     check()
+
+
+def _count_decodes(monkeypatch) -> list:
+    """The seed of every entry decoded from now on, in order."""
+    seeds = []
+    materialize = BankSampler._materialize
+    monkeypatch.setattr(BankSampler, "_materialize",
+                        lambda rec, seed, *args: seeds.append(seed) or materialize(rec, seed, *args))
+    return seeds
+
+
+def test_a_query_decodes_only_the_entries_changed_since_the_last(monkeypatch):
+    # Counted in BankSampler._materialize calls: a query right after a query
+    # decodes nothing, and a query after t updates decodes exactly the slow
+    # entries those updates touched, at most t * family_size^2 of them.
+    decoded = _count_decodes(monkeypatch)
+    total = 0
+    for n in (700, 1500):
+        dm = DynamicMatcher(n, 2, random.Random(n + 1))
+        touched = set()
+        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
+            dm.update(upd)
+            touched |= {bank_key(dm, i, j, upd.w) for i in key_indices(upd.u, dm.scheme)
+                        for j in key_indices(upd.v, dm.scheme)}
+            if step % 7 == 0:
+                decoded.clear()
+                answer = dm.query()
+                assert sorted(decoded) == sorted(dm._seeds[key] for key in touched & dm._slow.keys())
+                assert len(decoded) <= 7 * dm.last_touched
+                total += len(decoded)
+                decoded.clear()
+                assert dm.query() == answer
+                assert decoded == []
+                touched.clear()
+    assert total >= 10
+
+
+def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_every_edge(monkeypatch):
+    # A larger star than test_query_on_a_star_reads_every_edge's, so that its
+    # spokes share entries: the first query decodes them, the next decodes
+    # none, and its solver still reads the whole view.
+    n, k = 400, 2
+    dm = DynamicMatcher(n, k, random.Random(4))
+    for v in range(1, n):
+        dm.update(EdgeUpdate(0, v, v % 7, True))
+    decoded = _count_decodes(monkeypatch)
+    first = dm.query()
+    assert len(decoded) == len(dm._slow) >= 1
+    decoded.clear()
+    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    assert decoded == []
+    assert answer is first is None
+    assert sizes == [n - 1] and len(reads) == n - 1
+
+
+def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
+    # Sketches are made to fail on the two-id entries whose smallest id is
+    # odd.  The running totals still give the sweep's answers and stats at
+    # every checkpoint, also once an entry counted as FAIL falls back to one id.
+    query = L0Sampler.query
+    monkeypatch.setattr(L0Sampler, "query",
+                        lambda sk: FAIL if len(sk.net) >= 2 and min(sk.net) % 2 else query(sk))
+    failed = fail_to_single = 0
+    for n in (700, 1500):
+        dm = DynamicMatcher(n, 2, random.Random(n + 1))
+        was_fail = set()
+        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
+            dm.update(upd)
+            if step % 25 == 0:
+                fail_to_single += sum(1 for key in was_fail if len(dm.bank[key].net) == 1)
+                answer, stats = sweep_query(dm)
+                assert dm.query() == answer, (n, step)
+                assert dm.last_query_stats == stats, (n, step)
+                _assert_index(dm)
+                was_fail = {key for key, res in dm._slow.items() if res is FAIL}
+                failed += stats.failed
+    assert failed >= 100 and fail_to_single >= 5
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
@@ -434,7 +520,11 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     x, others = covered_vertex(dm)
     for u, v, w in [(0, x, 3)] + [(0, y, 3) for y in others] + [(2, 3, 5), (4, 5, 1), (6, 7, 5)]:
         dm.update(EdgeUpdate(u, v, w, True))
-    assert (0, x) not in {(u, v) for _wc, u, v in dm._singles}
+    # Before the first query every slow entry counts as EMPTY, so the index
+    # holds the singles alone.
+    assert all(res is EMPTY for res in dm._slow.values())
+    singles = set(dm._sampled)
+    assert (0, x) not in {(u, v) for _wc, u, v in singles}
     inputs = []
     monkeypatch.setattr(dynamic, "solve_exact",
                         lambda edges, k: inputs.append(list(edges)) or solve_exact(inputs[-1], k))
@@ -444,10 +534,12 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     _assert_index(dm)
     samples = {edge_from_id(res.ident) for res in dm._slow.values() if isinstance(res, Sampled)}
     assert (0, x) in samples
-    assert samples & {(u, v) for _wc, u, v in dm._singles}
+    assert samples & {(u, v) for _wc, u, v in singles}
+    assert set(dm._sampled) == singles | {(key_parts(dm, key)[2], *edge_from_id(res.ident))
+                                          for key, res in dm._slow.items() if isinstance(res, Sampled)}
     (edges,) = inputs
     assert edges == sorted(edges, key=edge_key, reverse=True)
-    assert len(edges) == len(set(edges)) == len(dm._singles) + 1
+    assert len(edges) == len(set(edges)) == len(singles) + 1 == len(dm._sampled)
     assert (0, x, dm.wclasses[weight_class(3, eps) if eps else 3]) in edges
 
 

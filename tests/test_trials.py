@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from checks import measure
@@ -62,3 +66,19 @@ def test_measure_dynamic_profile():
     assert entry["touched_per_update"] == [entry["pairs_per_update"]]
     assert entry["bank_size"] <= entry["bank_bound"]
     assert entry["abstract_words"] > 0
+
+
+def test_success_rates_script_runs_clean():
+    # The script the README's success rates come from: one trial per row, 8
+    # dynamic rows and 6 insert-only rows, and no one-sided violation.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = os.path.join(root, "scripts", "success_rates.py")
+    proc = subprocess.run([sys.executable, script, "--trials", "1"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["model", "k", "copies", "success", "returned", "violations"]
+    assert len(rows) == 14
+    assert [row.split()[0] for row in rows] == ["dynamic", "dynamic-approx"] * 4 + ["insert"] * 6
+    assert [row.split()[-1] for row in rows] == ["0"] * 14
