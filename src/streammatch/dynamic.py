@@ -23,10 +23,10 @@ every vertex value is below R, so the key is injective, and ``query``
 reads an entry's class back from its slot, key // R^2.  An entry's value
 is its net update vector (id -> net count); its seed, derived per key so
 that it does not depend on creation order, is kept once, in ``_seeds``.  A
-decode builds an ``L0Sampler`` from the seed in ``_seeds`` and the net
-vector and drops it afterwards; the sampler is linear and its randomness
-comes only from the seed, so the outcome is the one a sampler updated from
-the start gives.  The abstract space accounting still charges the full
+decode hands that seed straight to an ``L0Sampler``, gives it the net
+vector and drops it afterwards; the sampler is linear and draws its cells
+from the seed as it reads them, so the outcome is the one a sampler updated
+from the start gives.  The abstract space accounting still charges the full
 sketch.
 
 Bank values follow one rule, so that most entries own no object at all.  A
@@ -178,7 +178,7 @@ class BankSampler:
         self.net = net
 
     def _materialize(self, seed: int, n_ids: int, delta: float) -> L0Sampler:
-        sketch = L0Sampler(n_ids, delta, random.Random(seed))
+        sketch = L0Sampler(n_ids, delta, seed)
         for ident, count in self.net.items():
             sketch.update(ident, count)
         return sketch

@@ -15,23 +15,23 @@ id is in range and the fingerprint matches, so a multi-sparse cell is
 mistaken for one-sparse with probability at most (support size)/P, which
 is negligible and the only caveat on the otherwise exact outcomes below.
 
-The sampler holds the exact net vector (id -> nonzero net count) and the
-cells' random parameters.  An update adds any nonzero int to one id's net
-count, and ``query`` computes each cell's sums from the net vector.  The
-sketch is linear, so these are the counters the grid of cells would hold
-had it been updated from the start, in unit steps or one whole count per
-id, in any order, and the outcome is the grid's, bit for bit: ``Sampled``
-from the first cell that verifies, in repetition-major order; ``EMPTY``
-on the zero vector (all sums are zero); ``FAIL`` when some sum is nonzero
-but no cell verifies.
+The sampler is its seed and its exact net vector (id -> nonzero net
+count).  An update adds any nonzero int to one id's net count, and
+``query`` computes each cell's sums from the net vector.  The sketch is
+linear, so these are the counters the grid of cells would hold had it
+been updated from the start, in unit steps or one whole count per id, in
+any order, and the outcome is the grid's, bit for bit: ``Sampled`` from
+the first cell that verifies, in repetition-major order; ``EMPTY`` on the
+zero vector (all sums are zero); ``FAIL`` when some sum is nonzero but no
+cell verifies.
 A one-sparse vector always decodes at repetition 0, level 0.
 
-A cell's random values (a, b, z) are drawn exactly as ``randrange`` would
-draw them from the caller's rng, at ``getrandbits`` cost: one draw of
-width.bit_length() bits, repeated while it is not below the width.  So a
-seed gives the cells it gave through ``randrange`` and leaves the rng in
-the same state.  The field prime depends only on the domain size and is
-computed once per size; ``next_prime`` refuses one that is not below
+All of a sampler's randomness is its seed.  ``query`` draws each cell's
+(a, b, z) from ``random.Random(seed)`` as it reads the cell, as ``randrange``
+would, at ``getrandbits`` cost: width.bit_length() bits, drawn again while
+not below the width.  So a query draws no cell it does not read, and every
+query reads the same cells.  The field prime depends only on the domain
+size and is computed once per size; ``next_prime`` refuses one not below
 psi_13, so a domain of psi_13 or more is a ParameterError.
 
 A sampler is single-owner mutable state; distinct samplers are
@@ -41,9 +41,9 @@ independent.  Queries never mutate.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+from random import Random
 
 from .errors import DomainError, ParameterError
 from .field_hash import next_prime
@@ -109,36 +109,16 @@ def _field_prime(n: int) -> int:
 
 
 class L0Sampler:
-    """Sampler over the domain [0, n) with failure parameter delta."""
+    """Sampler over the domain [0, n) with failure parameter delta; its cells come from ``seed``."""
 
-    def __init__(self, n: int, delta: float, rng: random.Random):
+    def __init__(self, n: int, delta: float, seed: int):
         if n < 1:
             raise ParameterError(f"domain size must be >= 1, got {n}")
         self.n = n
         self.reps = repetitions_for(delta)
         self.levels = levels_for(n)
-        p = _field_prime(n)
-        # (a, b, 2^level, z) per cell, repetition-major; the draw order fixes
-        # the cells a seed gives.  a, b and z are randrange(1, p), randrange(p)
-        # and randrange(1, FINGERPRINT_PRIME), drawn as randrange draws them.
-        getrandbits = rng.getrandbits
-        wa, wz = p - 1, FINGERPRINT_PRIME - 1
-        ka, kb, kz = wa.bit_length(), p.bit_length(), wz.bit_length()
-        cells = []
-        for _ in range(self.reps):
-            for level in range(self.levels):
-                a = getrandbits(ka)
-                while a >= wa:
-                    a = getrandbits(ka)
-                b = getrandbits(kb)
-                while b >= p:
-                    b = getrandbits(kb)
-                z = getrandbits(kz)
-                while z >= wz:
-                    z = getrandbits(kz)
-                cells.append((a + 1, b, 1 << level, z + 1))
-        self._cells = cells
-        self._p = p
+        self._p = _field_prime(n)
+        self.seed = seed
         self.net: dict[int, int] = {}
 
     def update(self, ident: int, count: int):
@@ -156,8 +136,19 @@ class L0Sampler:
     def query(self):
         """Sampled(id) from the first verified cell, EMPTY on the zero vector, else FAIL."""
         p = self._p
+        getrandbits = Random(self.seed).getrandbits
+
+        def below(width: int) -> int:  # randrange(width), drawn as randrange draws it
+            k = width.bit_length()
+            x = getrandbits(k)
+            while x >= width:
+                x = getrandbits(k)
+            return x
+
         nonzero = False
-        for a, b, r, z in self._cells:
+        for cell in range(self.reps * self.levels):  # repetition-major
+            a, b, z = below(p - 1) + 1, below(p), below(FINGERPRINT_PRIME - 1) + 1
+            r = 1 << cell % self.levels
             phi = iota = tau = 0
             for ident, c in self.net.items():
                 if ((a * ident + b) % p) % r == 0:

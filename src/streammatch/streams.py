@@ -98,6 +98,14 @@ def format_weight(w, precision: int) -> str:
     return f"{(Decimal(x.numerator) / Decimal(x.denominator)).normalize(Context(prec=6)):g}"
 
 
+def _field_int(digits: str) -> int | None:
+    """int(digits) for ASCII digits, or None past _CHUNK digits after the
+    leading zeros: far more than an n, k, precision or vertex id in range has,
+    and few enough for int() under any PYTHONINTMAXSTRDIGITS setting."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= _CHUNK else None
+
+
 def split_lines(text: str) -> list[str]:
     """The lines of ``text``: only \\n, \\r\\n and \\r end one (``str.splitlines``
     also ends a line at a form feed, \\x85 or a Unicode line separator)."""
@@ -126,10 +134,9 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "header needs: H <n> <k> <precision>")
             if not all(f.isdigit() and f.isascii() for f in fields[1:]):
                 raise StreamFormatError(line_no, "header fields must be ASCII digits")
-            try:
-                n, k, precision = (int(f) for f in fields[1:])
-            except ValueError:  # more digits than int() converts
-                raise StreamFormatError(line_no, "header field has too many digits") from None
+            n, k, precision = values = [_field_int(f) for f in fields[1:]]
+            if None in values:
+                raise StreamFormatError(line_no, "header field has too many digits")
             try:
                 check_size(n, k)
             except ParameterError as exc:
@@ -152,10 +159,9 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
         a, b = fields[1], fields[2]
         if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
             raise StreamFormatError(line_no, "vertex ids must be ASCII digits")
-        try:
-            u, v = int(a), int(b)
-        except ValueError:  # more digits than int() converts
-            raise StreamFormatError(line_no, "vertex id has too many digits") from None
+        u, v = _field_int(a), _field_int(b)
+        if u is None or v is None:
+            raise StreamFormatError(line_no, "vertex id has too many digits")
         n = header[0]
         if not (u < n and v < n):
             raise StreamFormatError(line_no, f"vertex id outside [0, {n})")

@@ -326,8 +326,10 @@ class GridL0Sampler:
 
     Every update goes through every cell that admits its id, so the grid
     holds the counters that ``L0Sampler.query`` computes from its net
-    vector.  Cells are drawn from ``rng`` in the same order, so one seed
-    gives both samplers the same cells and leaves ``rng`` in the same state.
+    vector.  All cells are drawn up front, with ``randrange``, in the order
+    in which ``L0Sampler.query`` draws them from its seed as it reads them,
+    so ``GridL0Sampler(n, delta, Random(seed))`` has the cells, and gives
+    the outcome, of ``L0Sampler(n, delta, seed)``.
     """
 
     def __init__(self, n: int, delta: float, rng: random.Random):

@@ -67,9 +67,9 @@ def test_criterion_03_l0_sampler():
     empties = 0
     n_small = 2000
     for seed in range(n_small):
-        rng = random.Random(derive_seed(31, "l0-det", seed))
-        ident = rng.randrange(512)
-        s = L0Sampler(512, 0.25, rng)
+        sampler_seed = derive_seed(31, "l0-det", seed)
+        ident = random.Random(sampler_seed).randrange(512)
+        s = L0Sampler(512, 0.25, sampler_seed)
         s.update(ident, 1)
         deterministic += s.query() == Sampled(ident)
         s.update(ident, -1)
@@ -81,7 +81,7 @@ def test_criterion_03_l0_sampler():
     counts = [0] * 64
     fails = 0
     for seed in range(trials):
-        s = L0Sampler(64, delta, random.Random(derive_seed(31, "l0-uni", seed)))
+        s = L0Sampler(64, delta, derive_seed(31, "l0-uni", seed))
         for ident in range(64):
             s.update(ident, 1)
         res = s.query()

@@ -168,8 +168,7 @@ def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("text, message", [
+_REFUSED_NUMBERS = [
     ("H 1_0 2 0\nQ\n", "line 1: header fields must be ASCII digits"),
     ("H 4 +1 0\nQ\n", "line 1: header fields must be ASCII digits"),
     (f"H {'4' * 5000} 1 0\nQ\n", "line 1: header field has too many digits"),
@@ -177,11 +176,21 @@ def test_run_rejects_ill_formed_streams(tmp_path, capsys, text, model, message):
     ("H 4 1 0\nI -0 1 5\nQ\n", "line 2: vertex ids must be ASCII digits"),
     ("H 4 1 0\nI 0 \u0663 5\nQ\n", "line 2: vertex ids must be ASCII digits"),
     (f"H 4 1 0\nI 0 {'1' * 5000} 5\nQ\n", "line 2: vertex id has too many digits"),
+    (f"H 10 1 0\nI 0 {'1' * 700} 5\nQ\n", "line 2: vertex id has too many digits"),
     ("H 4 1 0\nI 0 1 \uff15\nQ\n", "line 2: bad weight '\uff15'"),
-], ids=["underscore-n", "signed-k", "n-of-5000-digits", "signed-u", "signed-zero-u", "arabic-indic-v",
-        "v-of-5000-digits", "fullwidth-weight"])
+]
+_REFUSED_IDS = ["underscore-n", "signed-k", "n-of-5000-digits", "signed-u", "signed-zero-u", "arabic-indic-v",
+                "v-of-5000-digits", "v-of-700-digits", "fullwidth-weight"]
+# A vertex id, and an n, behind 700 leading zeros: n=10 and the edge (1, 2).
+_LEADING_ZEROS = [f"H 10 1 0\nI {'0' * 700}1 2 5\nQ\n", f"H {'0' * 700}10 1 0\nI 1 2 5\nQ\n"]
+_LEADING_ZEROS_IDS = ["u-of-701-digits", "n-of-702-digits"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text, message", _REFUSED_NUMBERS, ids=_REFUSED_IDS)
 def test_a_refused_number_names_its_line(tmp_path, capsys, command, text, message):
-    # int() or a Unicode \d takes each of these numbers but the two of 5000 digits.
+    # int() or a Unicode \d takes each of these numbers but the two of 5000 digits;
+    # the id of 700 digits is refused for its length, not found outside [0, 10).
     path = tmp_path / "stream.txt"
     path.write_text(text, encoding="utf-8")
     options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
@@ -240,14 +249,39 @@ def test_run_refuses_a_precision_too_large_to_scale_by(tmp_path):
     assert proc.stderr == "error: line 1: precision 100000000 is above the cap of 1000\n"
 
 
-def _main_under_digit_limit(args):
-    """``main(args)`` in a fresh interpreter under PYTHONINTMAXSTRDIGITS=640,
-    the least limit on the digits int() and str() convert that it takes."""
+def _main_under_digit_limit(args, limit=640):
+    """``main(args)`` in a fresh interpreter under PYTHONINTMAXSTRDIGITS=limit,
+    on the digits int() and str() convert: 640 is the least it takes, and
+    4300 the default."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(streammatch.__file__)))
-    code = ("import sys; assert sys.get_int_max_str_digits() == 640; "
+    code = (f"import sys; assert sys.get_int_max_str_digits() == {limit}; "
             f"from streammatch.cli import main; sys.exit(main({args!r}))")
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=src)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(limit), PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text", _LEADING_ZEROS, ids=_LEADING_ZEROS_IDS)
+def test_leading_zeros_count_toward_no_limit(tmp_path, capsys, command, text):
+    path = tmp_path / "stream.txt"
+    path.write_text(text)
+    options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
+    assert main([command, *options, str(path)]) == 0
+    shown = "oracle weight" if command == "verify" else "weight"
+    assert capsys.readouterr().out.startswith(f"query 1: {shown}=5 edges: (1,2,5)\n")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text", [text for text, _message in _REFUSED_NUMBERS] + _LEADING_ZEROS,
+                         ids=_REFUSED_IDS + _LEADING_ZEROS_IDS)
+def test_the_int_digit_limit_changes_no_outcome(tmp_path, command, text):
+    # The same exit code, output and error text under the least limit as
+    # under the default one.
+    path = tmp_path / "stream.txt"
+    path.write_text(text, encoding="utf-8")
+    options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
+    default, least = (_main_under_digit_limit([command, *options, str(path)], limit) for limit in (4300, 640))
+    assert (least.returncode, least.stdout, least.stderr) == (default.returncode, default.stdout, default.stderr)
 
 
 @pytest.mark.parametrize("options", [["run", "--model", "dynamic", "--seed", "1"],

@@ -31,7 +31,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import KeyDescending, solve_exact
+from streammatch.exact import KeyDescending, is_valid_matching, solve_exact
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
@@ -430,6 +430,61 @@ def test_changed_entry_is_decoded_again():
     dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
     assert key in dm._dirty
     check()
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_a_collision_heavy_corpus_queries_as_the_sweep(eps):
+    # A star on vertex 0 and two hubs, 1 and 2, that share its leaves.  The
+    # leaves come in clusters of vertices that share a value, one weight class
+    # per cluster out of seven, so each centre's edges to one cluster share
+    # bank entries of three or more ids; deleting every edge walks those
+    # entries down through 2 -> 1 -> 0 ids.  At every query the index gives
+    # the sweep's answer and stats, and each answer is a matching of live edges.
+    n, k = 2000, 2
+    rng = random.Random(27)
+    dm = DynamicMatcher(n, k, random.Random(5), mode="approx" if eps else "exact", eps=eps)
+    by_value: dict[int, list[int]] = {}
+    for x in range(3, n):
+        for j in key_indices(x, dm.scheme):
+            by_value.setdefault(j, []).append(x)
+    clusters, used = [], set()
+    for xs in by_value.values():
+        if len(xs) >= 3 and not used & set(xs) and len(clusters) < 16:
+            clusters.append(xs)
+            used |= set(xs)
+    weights = {}
+    for xs in clusters:
+        w = rng.choice((1, 2, 3, 5, 8, 13, 21))
+        for x in xs:
+            weights.update({(c, x): w for c in (0, 1, 2) if c == 0 or rng.random() < 0.6})
+    inserts, deletes = sorted(weights), sorted(weights)
+    rng.shuffle(inserts)
+    rng.shuffle(deletes)
+    live: dict = {}
+    sizes: dict = {}  # bank key -> its support size after each update that touched it
+    slow = answered = 0
+    for step, (edge, insert) in enumerate([(e, True) for e in inserts] + [(e, False) for e in deletes], 1):
+        w = weights[edge]
+        dm.update(EdgeUpdate(*edge, w, insert))
+        if insert:
+            live[edge] = w
+        else:
+            del live[edge]
+        wc = weight_class(w, eps) if eps else w
+        for i in key_indices(edge[0], dm.scheme):
+            for j in key_indices(edge[1], dm.scheme):
+                key = bank_key(dm, i, j, wc)
+                sizes.setdefault(key, []).append(len(dm.bank[key].net))
+        if step % 4 == 0 or not live:
+            answer, stats = sweep_query(dm)
+            assert dm.query() == answer, step
+            assert dm.last_query_stats == stats, step
+            assert answer is None or is_valid_matching(answer, k, live, eps), step
+            slow += len(dm._slow)
+            answered += answer is not None
+    assert len(clusters) == 16 and answered >= 40
+    assert slow >= 10_000
+    assert sum(1 for seq in sizes.values() if seq[-3:] == [2, 1, 0]) >= 500
 
 
 def _count_decodes(monkeypatch) -> list:

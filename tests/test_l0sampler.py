@@ -7,13 +7,22 @@ from hypothesis import strategies as st
 
 from checks import GridL0Sampler
 
+from streammatch import l0sampler
 from streammatch.errors import DomainError, ParameterError
 from streammatch.field_hash import PSI_13, next_prime
-from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled, _field_prime, repetitions_for
+from streammatch.l0sampler import (
+    EMPTY,
+    FAIL,
+    FINGERPRINT_PRIME,
+    L0Sampler,
+    Sampled,
+    _field_prime,
+    repetitions_for,
+)
 
 
 def _sampler(n=64, delta=0.25, seed=0):
-    return L0Sampler(n, delta, random.Random(seed))
+    return L0Sampler(n, delta, seed)
 
 
 def _reference(n=64, delta=0.25, seed=0):
@@ -23,7 +32,7 @@ def _reference(n=64, delta=0.25, seed=0):
 def test_construction_counts():
     assert _sampler(n=1, delta=0.3).levels == 1
     assert _sampler(delta=0.5).reps == 1
-    s = L0Sampler(2**20, 2**-10, random.Random(1))
+    s = L0Sampler(2**20, 2**-10, 1)
     assert (s.reps, s.levels) == (10, 21)
 
 
@@ -38,13 +47,13 @@ def test_repetitions_for_is_ceil_log2_of_one_over_delta(delta, reps):
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        L0Sampler(0, 0.5, random.Random(0))
+        L0Sampler(0, 0.5, 0)
     with pytest.raises(ParameterError):
-        L0Sampler(4, 1.5, random.Random(0))
+        L0Sampler(4, 1.5, 0)
     # psi_13 passes is_prime; a domain at or above it gets no field prime.
     for n in (PSI_13, PSI_13 + 1, 1 << 90):
         with pytest.raises(ParameterError, match="psi_13"):
-            L0Sampler(n, 0.5, random.Random(0))
+            L0Sampler(n, 0.5, 0)
     s = _sampler()
     with pytest.raises(DomainError):
         s.update(64, 1)
@@ -143,11 +152,12 @@ def _random_updates(rng, n):
 
 
 def test_sampler_decodes_as_the_counter_grid():
-    # Same seed, same updates: the net-vector sampler gives the reference
-    # grid's outcome, and leaves the caller's rng in the same state.  The
-    # fifth shape is a dyn-churn bank entry (n=20000, k=2: 9 x 29 cells);
-    # the last domain lies above 2^31, so its field prime and the widths its
-    # cell values are drawn below differ; support 64 at delta 0.5 fails often.
+    # Same seed, same updates: the net-vector sampler, drawing its cells from
+    # the seed as it reads them, gives the outcome of the reference grid,
+    # which draws every cell with randrange up front.  The fifth shape is a
+    # dyn-churn bank entry (n=20000, k=2: 9 x 29 cells); the last domain lies
+    # above 2^31, so its field prime and the widths its cell values are drawn
+    # below differ; support 64 at delta 0.5 fails often.
     rng = random.Random(11)
     seen = set()
     for n, delta in [(1, 0.3), (16, 0.01), (64, 0.5), (300, 1 / 16), (20000 * 19999 // 2, 0.00225),
@@ -155,9 +165,7 @@ def test_sampler_decodes_as_the_counter_grid():
         assert _field_prime(n) == next_prime(max(n, 1 << 31))
         for _ in range(150):
             seed = rng.getrandbits(63)
-            ref_rng, rng_ = random.Random(seed), random.Random(seed)
-            ref, s = GridL0Sampler(n, delta, ref_rng), L0Sampler(n, delta, rng_)
-            assert rng_.getstate() == ref_rng.getstate()
+            ref, s = GridL0Sampler(n, delta, random.Random(seed)), L0Sampler(n, delta, seed)
             for ident, c in _random_updates(rng, n):
                 ref.update(ident, c)
                 s.update(ident, c)
@@ -169,8 +177,8 @@ def test_sampler_decodes_as_the_counter_grid():
 
 def test_whole_counts_give_the_unit_steps_state():
     # The sketch is linear: a net vector applied as one whole count per id
-    # gives the net vector, the outcome and the rng state that its +-1 steps
-    # give, shuffled; the reference grid takes the whole counts too.
+    # gives the net vector and the outcome that its +-1 steps give, shuffled;
+    # the reference grid takes the whole counts too.
     rng = random.Random(21)
     seen = set()
     for _ in range(200):
@@ -181,9 +189,8 @@ def test_whole_counts_give_the_unit_steps_state():
         net = {ident: rng.choice((-1, 1)) * rng.randint(1, 5) for ident in support}
         steps = [(ident, 1 if c > 0 else -1) for ident, c in net.items() for _ in range(abs(c))]
         rng.shuffle(steps)
-        rngs = [random.Random(seed) for _ in range(3)]
-        whole, unit = L0Sampler(n, delta, rngs[0]), L0Sampler(n, delta, rngs[1])
-        grid = GridL0Sampler(n, delta, rngs[2])
+        whole, unit = L0Sampler(n, delta, seed), L0Sampler(n, delta, seed)
+        grid = GridL0Sampler(n, delta, random.Random(seed))
         for ident, c in net.items():
             whole.update(ident, c)
             grid.update(ident, c)
@@ -192,9 +199,78 @@ def test_whole_counts_give_the_unit_steps_state():
         assert whole.net == unit.net == net
         res = whole.query()
         assert res == unit.query() == grid.query(), (n, delta, seed)
-        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
         seen.add(type(res) if isinstance(res, Sampled) else res)
     assert seen == {Sampled, EMPTY, FAIL}
+
+
+def _counting_random(calls: list):
+    """A ``random.Random`` that appends each getrandbits call, as (width,
+    value), to ``calls``; its randrange draws through getrandbits too."""
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            calls.append((k, super().getrandbits(k)))
+            return calls[-1][1]
+
+    return CountingRandom
+
+
+def _cell_draws(seed: int, p: int, cells: int) -> list:
+    """The getrandbits calls randrange makes for the first ``cells`` cells of ``seed``."""
+    calls: list = []
+    rng = _counting_random(calls)(seed)
+    for _ in range(cells):
+        rng.randrange(1, p)
+        rng.randrange(p)
+        rng.randrange(1, FINGERPRINT_PRIME)
+    return calls
+
+
+def test_a_query_draws_only_the_cells_it_reads(monkeypatch):
+    # Counted in getrandbits calls, over construction, updates and query: a
+    # one-sparse vector verifies at its first cell and draws that cell alone;
+    # EMPTY and FAIL read, so draw, every one of reps x levels cells.
+    draws: list = []
+    monkeypatch.setattr(l0sampler, "Random", _counting_random(draws))
+    n_ids, delta = 20000 * 19999 // 2, 0.00225  # a dyn-churn bank entry: 9 x 29 cells
+    p = _field_prime(n_ids)
+    for seed in range(20):
+        draws.clear()
+        s = L0Sampler(n_ids, delta, seed)
+        s.update(seed * 7919, 1)
+        assert s.query() == Sampled(seed * 7919)
+        assert draws == _cell_draws(seed, p, 1)
+    assert (s.reps, s.levels) == (9, 29)
+    outcomes = set()
+    for seed in range(40):
+        draws.clear()
+        s = L0Sampler(64, 0.5, seed)
+        for ident in range(64 if seed % 4 else 0):
+            s.update(ident, 1)
+        res = s.query()
+        if not isinstance(res, Sampled):
+            assert draws == _cell_draws(seed, _field_prime(64), s.reps * s.levels), seed
+            outcomes.add(res)
+    assert outcomes == {EMPTY, FAIL}
+
+
+def test_each_query_starts_from_the_seed(monkeypatch):
+    # A query draws the same cells however often it runs, and leaves the net
+    # vector as it was.
+    draws: list = []
+    monkeypatch.setattr(l0sampler, "Random", _counting_random(draws))
+    for seed in range(30):
+        s = L0Sampler(300, 0.1, seed)
+        for ident in (3, 9, 11, 40):
+            s.update(ident, 1 + ident % 2)
+        net = dict(s.net)
+        draws.clear()
+        first = s.query()
+        once = list(draws)
+        draws.clear()
+        assert s.query() == first
+        assert draws == once
+        assert s.net == net
 
 
 def test_support_two_frequencies():
@@ -205,7 +281,7 @@ def test_support_two_frequencies():
     hits = {3: 0, 9: 0}
     fails = 0
     for seed in range(trials):
-        s = L0Sampler(16, delta, random.Random(900_000 + seed))
+        s = L0Sampler(16, delta, 900_000 + seed)
         s.update(3, 1)
         s.update(9, 1)
         res = s.query()
@@ -227,7 +303,7 @@ def test_support_eight_uniformity():
     counts = dict.fromkeys(support, 0)
     fails = 0
     for seed in range(trials):
-        s = L0Sampler(64, 0.25, random.Random(7_000_000 + seed))
+        s = L0Sampler(64, 0.25, 7_000_000 + seed)
         for ident in support:
             s.update(ident, 1)
         res = s.query()
