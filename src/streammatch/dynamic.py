@@ -5,8 +5,8 @@ each vertex is hashed through it when it first appears in the stream,
 and its values are kept.  Every stream element (uv, w, op) touches exactly
 family_size^2 samplers: one l0-sampler per pair (i, j) drawn from the value sets
 of u and v, keyed additionally by the edge's weight class.  Samplers are
-created lazily on first touch.  A query samples each bank entry once,
-deduplicates the sampled edges and extracts an exact maximum-weight
+created lazily on first touch.  A query takes the edge each bank entry
+samples, deduplicates them and extracts an exact maximum-weight
 k-matching from them; since every sampled edge is a real (inserted, not
 deleted) edge, the answer is one-sided: a k-matching is never fabricated.
 
@@ -47,12 +47,23 @@ in ``_slow`` (``EMPTY``, which counts toward nothing, until then).
 and marks the slow entries it touches in ``_dirty``.  A query decodes only
 those, so after no update it decodes nothing, and with running totals of
 the sampled and FAIL outcomes it gives the answers and ``QueryStats`` of a
-sweep of the bank.  ``_order`` holds the sampled keys ascending, and class
-order is reported-weight order in both modes, so ``reversed(_order)`` is
-key-descending: the solver reads it lazily, as a ``KeyDescending`` view,
-until its kernel is full, 7 edges at k=2 when the edges are disjoint, and
-to the end when the kernel's rank rule drops so many that it never fills,
-as on a star or on a few hubs.
+sweep of the bank.
+
+The sampled edges are ranked as the solver's kernel ranks them
+(``exact.py``, rule 2), and the ranks are kept up to date instead of
+rebuilt at each query.  ``_classes`` holds each sampled pair's classes;
+``_by_vertex`` holds, per vertex, the keys (top class, u, v) of its sampled
+pairs ascending, so a key's rank at a vertex, its place from the top among
+distinct pairs, is one bisect; and ``_eligible`` holds, ascending, the keys
+ranked at most 2k-1 at both ends.  When a key enters or leaves a vertex,
+only the key that crosses rank 2k-1 there can change eligibility, so a
+change costs a few bisects.  Class order is reported-weight order in both
+modes, so ``reversed(_eligible)`` is key-descending, and the solver reads
+it lazily, as a ``KeyDescending`` view, until its kernel is full: at most
+(2k-2)(2k-1)+1 edges on any shape, stars and hubs included.  The output is
+the one all sampled edges give: every eligible pair ranks within 2k-1 among
+the eligible ones too, and they hold no parallel copies, so the kernel of
+``_eligible`` is the kernel of all sampled edges, in the same order.
 
 A vertex's values (``key_indices``) and a weight's class and slot are
 computed once per matcher, on the first update that names them, and
@@ -195,6 +206,12 @@ class QueryStats:
     failed: int = 0
 
 
+def _discard(ascending: list, item):
+    i = bisect_left(ascending, item)
+    if i < len(ascending) and ascending[i] == item:
+        del ascending[i]
+
+
 class DynamicMatcher:
     """State of the dynamic pipeline for one stream."""
 
@@ -231,7 +248,10 @@ class DynamicMatcher:
         self.last_touched = 0
         self.last_query_stats = QueryStats()
         self._sampled: dict[tuple, int] = {}  # (class, u, v) -> entries sampling it (module docstring)
-        self._order: list[tuple] = []  # the keys of ``_sampled``, ascending
+        self._classes: dict[tuple, object] = {}  # (u, v) -> its sampled class, or their ascending list
+        self._by_vertex: dict[int, list[tuple]] = {}  # x -> (top class, u, v) of its sampled pairs, ascending
+        self._eligible: list[tuple] = []  # the keys ranked at most 2k-1 at both ends, ascending
+        self._cap = 2 * k - 1
         self._sampled_total = 0  # sum of the counts in ``_sampled``
         self._failed_total = 0  # slow entries whose counted outcome is FAIL
         self._slow: dict[int, object] = {}  # slow key -> its counted outcome
@@ -323,10 +343,82 @@ class DynamicMatcher:
         if c:
             self._sampled[edge] = c
             if not old:
-                insort(self._order, edge)
+                self._enter(edge)
         else:
             del self._sampled[edge]
-            del self._order[bisect_left(self._order, edge)]
+            self._leave(edge)
+
+    def _enter(self, edge: tuple):
+        """Class wc of the pair (u, v) is sampled now; re-rank if it is the pair's new top."""
+        wc, u, v = edge
+        have = self._classes.get((u, v))
+        if have is None:
+            self._classes[(u, v)] = wc
+            self._rank_in(edge)
+            return
+        if type(have) is not list:
+            have = self._classes[(u, v)] = [have]
+        top = have[-1]
+        insort(have, wc)
+        if wc > top:
+            self._rank_out((top, u, v))
+            self._rank_in(edge)
+
+    def _leave(self, edge: tuple):
+        """Class wc of the pair (u, v) is no longer sampled; re-rank if it was the pair's top."""
+        wc, u, v = edge
+        have = self._classes[(u, v)]
+        if type(have) is not list:
+            del self._classes[(u, v)]
+            self._rank_out(edge)
+            return
+        del have[bisect_left(have, wc)]
+        top = have[-1]
+        if len(have) == 1:
+            self._classes[(u, v)] = top
+        if wc > top:
+            self._rank_out(edge)
+            self._rank_in((top, u, v))
+
+    def _rank_in(self, key: tuple):
+        """Add a pair's top key at both ends.  Below it each rank grows by one,
+        so at each end at most one other key leaves rank 2k-1 for 2k."""
+        cap, eligible, by_vertex = self._cap, self._eligible, self._by_vertex
+        within = True
+        for x in key[1:]:
+            keys = by_vertex.get(x)
+            if keys is None:
+                keys = by_vertex[x] = []
+            i = bisect_left(keys, key)
+            keys.insert(i, key)
+            top = len(keys) - cap  # the index of rank 2k-1
+            if i < top:
+                within = False
+            elif top > 0:
+                _discard(eligible, keys[top - 1])
+        if within:
+            insort(eligible, key)
+
+    def _rank_out(self, key: tuple):
+        """Remove a pair's top key at both ends.  Below it each rank falls by
+        one, so at each end at most one other key reaches rank 2k-1, and is
+        eligible if it ranks within 2k-1 at its other end too."""
+        cap, eligible, by_vertex = self._cap, self._eligible, self._by_vertex
+        _discard(eligible, key)
+        ends = key[1:]
+        for x in ends:
+            keys = by_vertex[x]
+            del keys[bisect_left(keys, key)]
+        for x in ends:
+            keys = by_vertex[x]
+            top = len(keys) - cap  # the index of rank 2k-1
+            if top >= 0 and keys[top] < key:
+                raised = keys[top]
+                other = by_vertex[raised[2] if raised[1] == x else raised[1]]
+                if len(other) - bisect_left(other, raised) <= cap:
+                    insort(eligible, raised)
+            elif not keys:
+                del by_vertex[x]
 
     def _tally(self, wc, outcome, delta: int):
         if isinstance(outcome, Sampled):
@@ -341,24 +433,26 @@ class DynamicMatcher:
         assert len(self.bank) <= bound, f"bank size {len(self.bank)} exceeds bound {bound}"
 
     def query(self) -> Matching | None:
-        """Sample every bank entry once and solve exactly on the sampled edges.
+        """Solve exactly on the edges the bank entries sample.
 
-        Only the slow entries touched since the last query are decoded.
-        Repeatable: back-to-back queries agree.
+        Only the slow entries touched since the last query are decoded,
+        and the solver is handed the eligible keys alone, which give the
+        answer all sampled edges give (module docstring).  Repeatable:
+        back-to-back queries agree.
         """
         per_slot = self._range_size**2
         for key in self._dirty:
             res = self.bank[key]._materialize(self._seeds[key], self.n_ids, self.delta).query()
             wc = self._slot_class[key // per_slot]
-            self._tally(wc, res, 1)  # in before out: an unchanged edge keeps its place in _order
+            self._tally(wc, res, 1)  # in before out: an unchanged edge keeps its ranks
             self._tally(wc, self._slow[key], -1)
             self._slow[key] = res
         self._dirty.clear()
         sampled, failed = self._sampled_total, self._failed_total
         self.last_query_stats = QueryStats(sampled, len(self.bank) - sampled - failed, failed)
         wclasses = self.wclasses
-        edges = ((u, v, wclasses[wc]) for wc, u, v in reversed(self._order))
-        return solve_exact(KeyDescending(edges, len(self._order)), self.k)
+        edges = ((u, v, wclasses[wc]) for wc, u, v in reversed(self._eligible))
+        return solve_exact(KeyDescending(edges, len(self._eligible)), self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:

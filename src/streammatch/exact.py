@@ -38,14 +38,17 @@ key per edge.  Edges wrapped in ``KeyDescending`` declare key-descending
 order instead, and are not sorted: the scan reads them lazily, checks
 each one it reads (u < v, and a key no larger than the one before, else
 DomainError) and stops at rule 3, so only the kernel prefix is read.  A
-dynamic query hands its sampled edges over this way.
+dynamic query hands over this way only its sampled edges that rule 2
+keeps, which it ranks as they change (``dynamic.py``), so the scan reads
+at most (2k-2)(2k-1)+1 edges there.
 
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
-each (``tests/checks.py::hub_graph``), one solve takes about 0.6 ms at
-k=4, 9 ms at k=5, 0.26 s at k=6 and 8.4 s at k=7 on a shared 2-vCPU Intel
-Xeon host under CPython 3.11 (medians of 21, 11 and 5 solves; one at k=7;
-the ROADMAP item "An exact-k solver whose time is polynomial in k").
+each (``tests/checks.py::hub_graph``), one solve of the full edge list
+takes about 0.6 ms at k=4, 9 ms at k=5, 0.26 s at k=6 and 8.4 s at k=7 on
+a shared 2-vCPU Intel Xeon host under CPython 3.11 (medians of 21, 11 and
+5 solves; one at k=7; the ROADMAP item "An exact-k solver whose time is
+polynomial in k").
 
 ``is_valid_matching``, the answer check of both pipelines, takes the
 matcher's ``eps``: None when every reported weight is exact.

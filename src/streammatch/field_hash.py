@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainError, ParameterError
 from .gf2 import MAX_WIDTH, TABLE_WIDTH, gf_mul, log_tables
@@ -32,6 +33,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
 
 
+# A scheme draws part_count * family_size members over one domain: each
+# member's prime is found and certified once per value, not once per member.
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases through 41: deterministic for
     n < ``PSI_13``, the least strong pseudoprime to all of them (Sorensen
@@ -59,6 +63,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def next_prime(n: int) -> int:
     """Smallest prime >= n; ParameterError if it is not below ``PSI_13``,
     where ``is_prime`` is no longer deterministic."""

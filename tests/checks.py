@@ -392,18 +392,19 @@ def key_parts(dm, key: int) -> tuple:
 
 
 def covered_vertex(dm) -> tuple[int, list[int]]:
-    """A vertex x, and for each of its values one other vertex y that has it.
+    """The largest vertex x that shares each of its values with a smaller
+    vertex y other than 0, and for each value one such y.
 
     With the edges (0, y) inserted in the class of (0, x), every entry of
     (0, x) holds a second id, so (0, x) is no single and reaches a query
-    only as a slow entry's sample.
+    only as a slow entry's sample; and (0, x) is the top spoke at 0.
     """
-    by_value: dict[int, list[int]] = {}
+    first: dict[int, int] = {}  # value -> the smallest vertex other than 0 that has it
     for y in range(1, dm.n):
         for j in key_indices(y, dm.scheme):
-            by_value.setdefault(j, []).append(y)
-    x = next(x for x in range(1, dm.n) if all(len(by_value[j]) >= 2 for j in key_indices(x, dm.scheme)))
-    return x, sorted({next(y for y in by_value[j] if y != x) for j in key_indices(x, dm.scheme)})
+            first.setdefault(j, y)
+    x = next(x for x in range(dm.n - 1, 0, -1) if all(first[j] < x for j in key_indices(x, dm.scheme)))
+    return x, sorted({first[j] for j in key_indices(x, dm.scheme)})
 
 
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
@@ -442,6 +443,28 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
         else:
             stats.failed += 1
     return (solve_exact(edges, matcher.k) if edges else None), stats
+
+
+def top_keys(sampled: Iterable[tuple]) -> list[tuple]:
+    """The top copy (class, u, v) of each pair among the sampled keys, ascending."""
+    top: dict = {}
+    for wc, u, v in sampled:
+        if (u, v) not in top or wc > top[(u, v)]:
+            top[(u, v)] = wc
+    return sorted((wc, u, v) for (u, v), wc in top.items())
+
+
+def eligible_pairs(sampled: Iterable[tuple], k: int) -> list[tuple]:
+    """Reference ``DynamicMatcher._eligible``: the top copies of the sampled
+    pairs that rank at most 2k-1 at both ends, ascending.  A key's rank at a
+    vertex is the number of distinct pairs there whose top key is no smaller."""
+    keys = top_keys(sampled)
+    at: dict = {}  # vertex -> its top keys, ascending
+    for key in keys:
+        for x in key[1:]:
+            at.setdefault(x, []).append(key)
+    rank = {(key, x): len(ks) - i for x, ks in at.items() for i, key in enumerate(ks)}
+    return [key for key in keys if rank[key, key[1]] <= 2 * k - 1 and rank[key, key[2]] <= 2 * k - 1]
 
 
 def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:

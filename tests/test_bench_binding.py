@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from checks import covered_vertex
+from checks import covered_vertex, eligible_pairs
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_from_id
 from streammatch.insertonly import insert_preprocess, insert_update
@@ -107,9 +107,10 @@ def test_dynamic_pass_counts_emptied_and_refilled_entries():
     assert (bank["entries"], bank["zero_entries"]) == (len(dm.bank), zero_entries)
 
 
-def test_solver_input_is_every_live_edge():
-    # At k=2 the kernel inside solve_exact keeps 3 of the hub's 6 spokes; the
-    # counters must still record the whole edge set the query passes it.
+def test_solver_input_is_the_eligible_edges():
+    # At k=2 only the hub's 3 heaviest spokes rank within 2k-1 = 3 there, so
+    # the query hands the solver those and the two disjoint edges, and the
+    # counters record that view's length, not the live edge count.
     n, k = 12, 2
     edges = [(0, s, 10 - s) for s in range(1, 7)] + [(7, 8, 2), (9, 10, 1)]
     dm = DynamicMatcher(n, k, random.Random(MATCHER_SEED))
@@ -117,17 +118,20 @@ def test_solver_input_is_every_live_edge():
         dm.update(EdgeUpdate(u, v, w, True))
     # Every live edge is a single: before the first query the index counts only singles.
     assert {(u, v) for _wc, u, v in dm._sampled} == {(u, v) for u, v, _w in edges}
+    assert dm._eligible == eligible_pairs(dm._sampled, k) == sorted(
+        (w, u, v) for u, v, w in edges[:3] + edges[-2:])
 
     text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
-    assert out["trace"]["counters"]["solve_sizes"] == [len(edges)]
+    assert out["trace"]["counters"]["solve_sizes"] == [2 * k - 1 + 2]
 
 
 def test_solver_input_counts_slow_samples_that_are_not_singles():
     # Every entry of (0, x) is shared with another edge (0, y), so (0, x) is
-    # no single and reaches the solver only as a slow entry's sample.  The
-    # solver is handed a lazy view; the counter still records its length,
-    # the distinct sampled edges: the singles plus those extra samples.
+    # no single and reaches the solver only as a slow entry's sample.  It is
+    # the top spoke at 0, so at k=1 it is eligible with the two disjoint
+    # edges.  The solver is handed a lazy view of the eligible keys; the
+    # counter records its length, the extra sample included.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
     x, others = covered_vertex(dm)
@@ -140,10 +144,12 @@ def test_solver_input_counts_slow_samples_that_are_not_singles():
     extra = samples - singles
     assert (3, 0, x) in extra
     assert dm._sampled.keys() == singles | extra
+    assert (3, 0, x) in dm._eligible == eligible_pairs(dm._sampled, 1)
+    assert len(dm._eligible) == 3
 
     text = f"H {n} 1 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
-    assert out["trace"]["counters"]["solve_sizes"] == [len(singles) + len(extra)]
+    assert out["trace"]["counters"]["solve_sizes"] == [len(dm._eligible)]
 
 
 def test_insert_pass():

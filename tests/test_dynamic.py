@@ -13,10 +13,13 @@ from checks import (
     bank_key,
     covered_vertex,
     edge_key,
+    eligible_pairs,
     enumerate_oracle,
+    hub_graph,
     key_parts,
     run_isolated,
     sweep_query,
+    top_keys,
 )
 
 from streammatch import dynamic
@@ -152,9 +155,10 @@ def test_a_refused_update_leaves_the_matcher_as_it_was():
 
     def state():
         bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
-        index = (dict(dm._sampled), list(dm._order), dm._sampled_total, dm._failed_total,
-                 dict(dm._slow), set(dm._dirty))
-        return dict(dm.wclasses), dict(dm._values), bank, index
+        index = (dict(dm._sampled), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
+        ranks = ({pair: list(wcs) if isinstance(wcs, list) else wcs for pair, wcs in dm._classes.items()},
+                 {x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
+        return dict(dm.wclasses), dict(dm._values), bank, index, ranks
 
     before = state()
     with pytest.raises(DomainError):
@@ -245,8 +249,7 @@ def _assert_index(dm):
     samples = Counter((key_parts(dm, key)[2], *edge_from_id(res.ident))
                       for key, res in dm._slow.items() if isinstance(res, Sampled))
     assert dm._sampled == singles + samples
-    # ``_order`` holds the sampled keys (class, u, v), ascending.
-    assert dm._order == sorted(dm._sampled)
+    _assert_ranks(dm)
     assert dm._sampled_total == sum(dm._sampled.values())
     assert dm._failed_total == sum(1 for res in dm._slow.values() if res is FAIL)
     # Net vectors with at most one id may be shared, so they are never changed
@@ -256,6 +259,22 @@ def _assert_index(dm):
     owned = [id(rec.net) for rec in dm.bank.values() if len(rec.net) >= 2]
     assert len(set(owned)) == len(owned)
     _assert_owners(dm)
+
+
+def _assert_ranks(dm):
+    # The rank index: each pair's sampled classes (one alone, two or more as
+    # an ascending list), each vertex's top keys ascending, and the keys
+    # ranked at most 2k-1 at both ends, as the brute force gives them.
+    classes: dict = {}
+    for wc, u, v in sorted(dm._sampled):
+        classes.setdefault((u, v), []).append(wc)
+    assert dm._classes == {pair: wcs if len(wcs) > 1 else wcs[0] for pair, wcs in classes.items()}
+    by_vertex: dict = {}
+    for key in top_keys(dm._sampled):
+        for x in key[1:]:
+            by_vertex.setdefault(x, []).append(key)
+    assert dm._by_vertex == by_vertex
+    assert dm._eligible == eligible_pairs(dm._sampled, dm.k)
 
 
 def _assert_owners(dm):
@@ -522,10 +541,10 @@ def test_a_query_decodes_only_the_entries_changed_since_the_last(monkeypatch):
     assert total >= 10
 
 
-def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_every_edge(monkeypatch):
-    # A larger star than test_query_on_a_star_reads_every_edge's, so that its
-    # spokes share entries: the first query decodes them, the next decodes
-    # none, and its solver still reads the whole view.
+def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_its_top_spokes(monkeypatch):
+    # A larger star than test_query_on_a_star_reads_only_its_top_spokes's, so
+    # that its spokes share entries: the first query decodes them, the next
+    # decodes none, and its solver reads the 2k-1 top sampled spokes alone.
     n, k = 400, 2
     dm = DynamicMatcher(n, k, random.Random(4))
     for v in range(1, n):
@@ -537,7 +556,8 @@ def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_every_edge(monkeyp
     answer, reads, sizes = _solver_reads(monkeypatch, dm)
     assert decoded == []
     assert answer is first is None
-    assert sizes == [n - 1] and len(reads) == n - 1
+    assert sizes == [2 * k - 1]
+    assert reads == [(u, v, wc) for wc, u, v in reversed(top_keys(dm._sampled)[-(2 * k - 1):])]
 
 
 def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
@@ -594,7 +614,7 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
                                           for key, res in dm._slow.items() if isinstance(res, Sampled)}
     (edges,) = inputs
     assert edges == sorted(edges, key=edge_key, reverse=True)
-    assert len(edges) == len(set(edges)) == len(singles) + 1 == len(dm._sampled)
+    assert len(edges) == len(set(edges)) == len(eligible_pairs(dm._sampled, 1)) < len(singles) + 1 == len(dm._sampled)
     assert (0, x, dm.wclasses[weight_class(3, eps) if eps else 3]) in edges
 
 
@@ -633,16 +653,108 @@ def test_query_reads_only_the_kernel(eps, monkeypatch):
     assert {e[:2] for e in answer.edges} == {(n - 2, n - 1), (n - 4, n - 3)}
 
 
-def test_query_on_a_star_reads_every_edge(monkeypatch):
-    # Every spoke shares the centre, so the kernel keeps only 2k-1 = 3 of them
-    # and never fills: the solver reads the whole view, and finds no 2-matching.
+def test_query_on_a_star_reads_only_its_top_spokes(monkeypatch):
+    # Every spoke shares the centre, so only the 2k-1 = 3 heaviest rank within
+    # 2k-1 there: the solver is handed those alone, reads them, and finds no
+    # 2-matching, as on every edge.
     n, k = 60, 2
     dm = DynamicMatcher(n, k, random.Random(4))
-    for v in range(1, n):
-        dm.update(EdgeUpdate(0, v, v % 7, True))
+    spokes = [(0, v, v % 7) for v in range(1, n)]
+    for u, v, w in spokes:
+        dm.update(EdgeUpdate(u, v, w, True))
     answer, reads, sizes = _solver_reads(monkeypatch, dm)
-    assert answer is None
-    assert sizes == [n - 1] and len(reads) == n - 1
+    assert answer is None is solve_exact(spokes, k)
+    assert sizes == [2 * k - 1]
+    assert reads == sorted(spokes, key=edge_key, reverse=True)[:2 * k - 1]
+
+
+def _sampled_edges(dm) -> list:
+    return [(u, v, dm.wclasses[wc]) for wc, u, v in dm._sampled]
+
+
+@pytest.mark.parametrize("k, eligible", [(3, 13), (4, 25), (5, 41)])
+def test_query_on_hubs_reads_only_the_eligible_edges(k, eligible, monkeypatch):
+    # k-1 hubs of 180 spokes: the 2k-1 top spokes of each hub and the k light
+    # edges are eligible, fewer than the (2k-2)(2k-1)+1 the kernel keeps, so
+    # the solver reads exactly those; its answer is the one all edges give.
+    edges, planted = hub_graph(k)
+    n = 1 + max(v for _u, v, _w in edges)
+    dm = DynamicMatcher(n, k, random.Random(k))
+    for u, v, w in edges:
+        dm.update(EdgeUpdate(u, v, w, True))
+    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    assert sizes == [eligible] == [(k - 1) * (2 * k - 1) + k]
+    assert len(reads) == eligible <= (2 * k - 2) * (2 * k - 1) + 1
+    assert answer == solve_exact(_sampled_edges(dm), k) == solve_exact(edges, k) == planted
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_query_on_a_large_star_reads_at_most_the_kernel_bound(k, monkeypatch):
+    # 2000 spokes and k-1 disjoint edges: the solver is handed the 2k-1 top
+    # sampled spokes and the disjoint edges, within (2k-2)(2k-1)+1 whatever
+    # the degree, and answers as on all sampled edges.
+    spokes = 2000
+    n = spokes + 1 + 2 * (k - 1)
+    dm = DynamicMatcher(n, k, random.Random(8))
+    for v in range(1, spokes + 1):
+        dm.update(EdgeUpdate(0, v, v % 13 + 1, True))
+    for u in range(spokes + 1, n, 2):
+        dm.update(EdgeUpdate(u, u + 1, 1, True))
+    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    assert sizes == [len(reads)] == [2 * k - 1 + k - 1]
+    assert len(reads) <= (2 * k - 2) * (2 * k - 1) + 1
+    assert answer == solve_exact(_sampled_edges(dm), k)
+    assert answer is not None and len(answer) == k
+
+
+def _hub_churn(n: int, length: int, rng: random.Random):
+    """Updates around three hubs, so that deletions and top-class changes
+    move pairs across rank 2k-1 there.  About one insert in six adds a
+    parallel copy of a live pair in another weight, and a deletion removes
+    one live copy; a copy's weight is 1, 2, 3, 5 or 8."""
+    live: list = []  # live copies (u, v, w)
+    for _ in range(length):
+        if live and rng.random() < 0.4:
+            yield EdgeUpdate(*live.pop(rng.randrange(len(live))), False)
+            continue
+        if live and rng.random() < 0.17:
+            u, v, _w = rng.choice(live)
+        else:
+            u = rng.choice((0, 1, 2)) if rng.random() < 0.7 else rng.randrange(n)
+            v = rng.choice([x for x in range(n) if x != u])
+            u, v = min(u, v), max(u, v)
+        w = rng.choice((1, 2, 3, 5, 8))
+        if (u, v, w) not in live:
+            live.append((u, v, w))
+            yield EdgeUpdate(u, v, w, True)
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
+def test_the_rank_index_follows_churn_with_parallel_copies(eps):
+    # After every update the rank index is the brute force's; at every
+    # checkpoint the query and its stats are the sweep's, and at every fifth
+    # the whole index is checked.  The churn holds parallel copies, deletions
+    # that raise another pair within rank 2k-1, and slow entries that the
+    # queries decode.
+    n, k = 600, 2
+    dm = DynamicMatcher(n, k, random.Random(9), mode="approx" if eps else "exact", eps=eps)
+    parallel = raised = slow = checks = 0
+    for step, upd in enumerate(_hub_churn(n, 700, random.Random(10)), 1):
+        before = set(dm._eligible)
+        dm.update(upd)
+        _assert_ranks(dm)
+        if not upd.insert:
+            raised += any(key[1:] != (upd.u, upd.v) for key in set(dm._eligible) - before)
+        parallel += any(isinstance(wcs, list) for wcs in dm._classes.values())
+        if step % 10 == 0:
+            answer, stats = sweep_query(dm)
+            assert dm.query() == answer, step
+            assert dm.last_query_stats == stats, step
+            if step % 50 == 0:
+                _assert_index(dm)
+            slow += len(dm._slow)
+            checks += 1
+    assert checks >= 60 and parallel >= 100 and raised >= 20 and slow >= 100
 
 
 def test_an_entry_with_a_count_of_two_decodes_as_the_grid():

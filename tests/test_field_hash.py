@@ -15,6 +15,7 @@ from streammatch.field_hash import (
     next_prime,
     universal_draw,
 )
+from streammatch.partition import build_scheme
 
 
 def test_next_prime():
@@ -43,6 +44,20 @@ def test_next_prime_stops_below_psi_13():
     for n in (last + 1, PSI_13, PSI_13 + 1):
         with pytest.raises(ParameterError, match="psi_13"):
             next_prime(n)
+
+
+def test_a_scheme_certifies_its_prime_once_whatever_its_member_count():
+    # Every member of a scheme is drawn over one domain, so the smallest prime
+    # >= 1000 is found and certified once: 10 Miller-Rabin runs (1000 to 1009,
+    # counted as cache misses) and one next_prime, for 24 members or 14336.
+    runs = []
+    for k in (2, 64, 1024):
+        next_prime.cache_clear()
+        is_prime.cache_clear()
+        params = build_scheme(1000, k, random.Random(k)).params
+        runs.append((params.part_count * params.family_size,
+                     is_prime.cache_info().misses, next_prime.cache_info().misses))
+    assert runs == [(24, 10, 1), (544, 10, 1), (14336, 10, 1)]
 
 
 class _FixedRng:
