@@ -39,25 +39,29 @@ changed in place.
 
 An entry's outcome is fixed by its seed and net vector, so the matcher
 keeps one index of the sampled edges instead of sweeping the bank at each
-query: ``_sampled`` counts, per (weight class, u, v), the entries whose
-outcome is that edge.  An entry holding exactly {id} counts at once; a
-slow entry, with two or more ids, through its last decoded outcome, kept
-in ``_slow`` (``EMPTY``, which counts toward nothing, until then).
-``update`` moves the counts as an entry's support size crosses 1 and 2,
-and marks the slow entries it touches in ``_dirty``.  A query decodes only
-those, so after no update it decodes nothing, and with running totals of
-the sampled and FAIL outcomes it gives the answers and ``QueryStats`` of a
-sweep of the bank.
+query: ``_sampled`` maps each pair (u, v) to {class: the entries whose
+outcome is that edge in that class}.  An entry holding exactly {id} counts
+at once; a slow entry, with two or more ids, through its last decoded
+outcome, kept in ``_slow`` (``EMPTY``, which counts toward nothing, until
+then).  ``update`` moves the counts as an entry's support size crosses 1
+and 2, and marks the slow entries it touches in ``_dirty``.  A query
+decodes only those, so after no update it decodes nothing, and with running
+totals of the sampled and FAIL outcomes it gives the answers and
+``QueryStats`` of a sweep of the bank.
 
 The sampled edges are ranked as the solver's kernel ranks them
 (``exact.py``, rule 2), and the ranks are kept up to date instead of
-rebuilt at each query.  ``_classes`` holds each sampled pair's classes;
-``_by_vertex`` holds, per vertex, the keys (top class, u, v) of its sampled
-pairs ascending, so a key's rank at a vertex, its place from the top among
-distinct pairs, is one bisect; and ``_eligible`` holds, ascending, the keys
-ranked at most 2k-1 at both ends.  When a key enters or leaves a vertex,
-only the key that crosses rank 2k-1 there can change eligibility, so a
-change costs a few bisects.  Class order is reported-weight order in both
+rebuilt at each query.  A pair's top class is the ``max`` of its class
+counts; ``_by_vertex`` holds, per vertex, the keys (top class, u, v) of its
+sampled pairs ascending, so a key's rank at a vertex, its place from the
+top among distinct pairs, is one bisect; and ``_eligible`` holds,
+ascending, the keys ranked at most 2k-1 at both ends.  One rule keeps it:
+``_sync`` puts a key in ``_eligible`` exactly when it ranks within 2k-1 at
+both ends, and takes it out otherwise.  When a top key enters or leaves a
+vertex, only the keys below it move there, each by one rank, so the one
+that can cross rank 2k-1 is the key now at rank 2k (an entry) or 2k-1 (a
+departure); a change syncs that key at each end, and an entering key
+itself, with a few bisects.  Class order is reported-weight order in both
 modes, so ``reversed(_eligible)`` is key-descending, and the solver reads
 it lazily, as a ``KeyDescending`` view, until its kernel is full: at most
 (2k-2)(2k-1)+1 edges on any shape, stars and hubs included.  The output is
@@ -206,12 +210,6 @@ class QueryStats:
     failed: int = 0
 
 
-def _discard(ascending: list, item):
-    i = bisect_left(ascending, item)
-    if i < len(ascending) and ascending[i] == item:
-        del ascending[i]
-
-
 class DynamicMatcher:
     """State of the dynamic pipeline for one stream."""
 
@@ -247,8 +245,7 @@ class DynamicMatcher:
         self._values: dict[int, list[int]] = {}  # vertex -> key_indices(vertex)
         self.last_touched = 0
         self.last_query_stats = QueryStats()
-        self._sampled: dict[tuple, int] = {}  # (class, u, v) -> entries sampling it (module docstring)
-        self._classes: dict[tuple, object] = {}  # (u, v) -> its sampled class, or their ascending list
+        self._sampled: dict[tuple, dict] = {}  # (u, v) -> {class: entries sampling it} (module docstring)
         self._by_vertex: dict[int, list[tuple]] = {}  # x -> (top class, u, v) of its sampled pairs, ascending
         self._eligible: list[tuple] = []  # the keys ranked at most 2k-1 at both ends, ascending
         self._cap = 2 * k - 1
@@ -337,88 +334,66 @@ class DynamicMatcher:
         return values
 
     def _count(self, edge: tuple, delta: int):
+        """Move the count of class wc of the pair (u, v) by delta; re-rank the
+        pair if its top class changes."""
         self._sampled_total += delta
-        old = self._sampled.get(edge, 0)
-        c = old + delta
+        wc, u, v = edge
+        classes = self._sampled.setdefault((u, v), {})
+        top = max(classes, default=None)
+        c = classes.get(wc, 0) + delta
         if c:
-            self._sampled[edge] = c
-            if not old:
-                self._enter(edge)
+            classes[wc] = c
         else:
-            del self._sampled[edge]
-            self._leave(edge)
-
-    def _enter(self, edge: tuple):
-        """Class wc of the pair (u, v) is sampled now; re-rank if it is the pair's new top."""
-        wc, u, v = edge
-        have = self._classes.get((u, v))
-        if have is None:
-            self._classes[(u, v)] = wc
-            self._rank_in(edge)
+            del classes[wc]
+        new = max(classes, default=None)
+        if new == top:
             return
-        if type(have) is not list:
-            have = self._classes[(u, v)] = [have]
-        top = have[-1]
-        insort(have, wc)
-        if wc > top:
+        if top is not None:
             self._rank_out((top, u, v))
-            self._rank_in(edge)
-
-    def _leave(self, edge: tuple):
-        """Class wc of the pair (u, v) is no longer sampled; re-rank if it was the pair's top."""
-        wc, u, v = edge
-        have = self._classes[(u, v)]
-        if type(have) is not list:
-            del self._classes[(u, v)]
-            self._rank_out(edge)
-            return
-        del have[bisect_left(have, wc)]
-        top = have[-1]
-        if len(have) == 1:
-            self._classes[(u, v)] = top
-        if wc > top:
-            self._rank_out(edge)
-            self._rank_in((top, u, v))
+        if new is None:
+            del self._sampled[(u, v)]
+        else:
+            self._rank_in((new, u, v))
 
     def _rank_in(self, key: tuple):
         """Add a pair's top key at both ends.  Below it each rank grows by one,
-        so at each end at most one other key leaves rank 2k-1 for 2k."""
-        cap, eligible, by_vertex = self._cap, self._eligible, self._by_vertex
-        within = True
+        so at each end only the key now at rank 2k can leave ``_eligible``."""
+        by_vertex = self._by_vertex
         for x in key[1:]:
-            keys = by_vertex.get(x)
-            if keys is None:
-                keys = by_vertex[x] = []
-            i = bisect_left(keys, key)
-            keys.insert(i, key)
-            top = len(keys) - cap  # the index of rank 2k-1
-            if i < top:
-                within = False
-            elif top > 0:
-                _discard(eligible, keys[top - 1])
-        if within:
-            insort(eligible, key)
+            insort(by_vertex.setdefault(x, []), key)
+        self._sync(key)
+        for x in key[1:]:
+            keys = by_vertex[x]
+            if len(keys) > self._cap:
+                self._sync(keys[-self._cap - 1])
 
     def _rank_out(self, key: tuple):
         """Remove a pair's top key at both ends.  Below it each rank falls by
-        one, so at each end at most one other key reaches rank 2k-1, and is
-        eligible if it ranks within 2k-1 at its other end too."""
-        cap, eligible, by_vertex = self._cap, self._eligible, self._by_vertex
-        _discard(eligible, key)
-        ends = key[1:]
-        for x in ends:
+        one, so at each end only the key now at rank 2k-1 can join ``_eligible``;
+        that key is another pair's, so its other end is not this key's."""
+        eligible, by_vertex = self._eligible, self._by_vertex
+        i = bisect_left(eligible, key)
+        if i < len(eligible) and eligible[i] == key:
+            del eligible[i]
+        for x in key[1:]:
             keys = by_vertex[x]
             del keys[bisect_left(keys, key)]
-        for x in ends:
-            keys = by_vertex[x]
-            top = len(keys) - cap  # the index of rank 2k-1
-            if top >= 0 and keys[top] < key:
-                raised = keys[top]
-                other = by_vertex[raised[2] if raised[1] == x else raised[1]]
-                if len(other) - bisect_left(other, raised) <= cap:
-                    insort(eligible, raised)
+            if len(keys) >= self._cap:
+                self._sync(keys[-self._cap])
             elif not keys:
                 del by_vertex[x]
+
+    def _sync(self, key: tuple):
+        """Put key in ``_eligible`` exactly when it ranks at most 2k-1 at both ends."""
+        cap, eligible = self._cap, self._eligible
+        at_u, at_v = self._by_vertex[key[1]], self._by_vertex[key[2]]
+        within = len(at_u) - bisect_left(at_u, key) <= cap and len(at_v) - bisect_left(at_v, key) <= cap
+        i = bisect_left(eligible, key)
+        if i < len(eligible) and eligible[i] == key:
+            if not within:
+                del eligible[i]
+        elif within:
+            eligible.insert(i, key)
 
     def _tally(self, wc, outcome, delta: int):
         if isinstance(outcome, Sampled):

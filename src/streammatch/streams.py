@@ -11,11 +11,12 @@ comment):
 Every integer field, and every digit of a weight, is ASCII 0-9: no sign,
 no ``_``, no other script's digits.  Weights are parsed as exact scaled
 integers: with precision p, the token ``1.25`` becomes 125.  ``DIGITS_CAP``
-caps the precision and a weight's digits before the point, so every weight
-and sum of weights prints; weights are read and printed ``_CHUNK`` digits
-at a time, under the least limit PYTHONINTMAXSTRDIGITS sets (640), so no
-setting refuses one.  Endpoints are normalized to u < v at parse time.  A
-file must contain one header and at least one query record.
+caps the precision and a weight's digits before the point, leading zeros
+aside, so every weight and sum of weights prints; weights are read and
+printed ``_CHUNK`` digits at a time, under the least limit
+PYTHONINTMAXSTRDIGITS sets (640), so no setting refuses one.  Endpoints
+are normalized to u < v at parse time.  A file must contain one header and
+at least one query record.
 
 ``MAX_VERTICES`` = 2^41 caps n in ``check_size``, which the header, both
 matchers and ``gen_planted`` pass through.  Below it, the edge-id domain
@@ -61,6 +62,7 @@ def scale_weight(token: str, precision: int, line_no: int = 0) -> int:
     if not _WEIGHT_RE.fullmatch(token):
         raise StreamFormatError(line_no, f"bad weight {token!r}")
     whole, _, frac = token.partition(".")
+    whole = whole.lstrip("0") or "0"
     if len(whole) > DIGITS_CAP:
         raise StreamFormatError(line_no, f"weight has more than {DIGITS_CAP} digits before the point")
     if len(frac) > precision:

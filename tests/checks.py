@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -443,6 +444,16 @@ def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
         else:
             stats.failed += 1
     return (solve_exact(edges, matcher.k) if edges else None), stats
+
+
+def sampled_keys(dm) -> Counter:
+    """``DynamicMatcher._sampled`` flattened to (class, u, v) -> count.  Every
+    pair it holds has a class, and every count is positive."""
+    keys = Counter()
+    for (u, v), classes in dm._sampled.items():
+        assert classes and min(classes.values()) > 0, (u, v, classes)
+        keys.update({(wc, u, v): c for wc, c in classes.items()})
+    return keys
 
 
 def top_keys(sampled: Iterable[tuple]) -> list[tuple]:

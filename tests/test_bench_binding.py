@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from checks import covered_vertex, eligible_pairs
+from checks import covered_vertex, eligible_pairs, sampled_keys
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_from_id
 from streammatch.insertonly import insert_preprocess, insert_update
@@ -117,8 +117,8 @@ def test_solver_input_is_the_eligible_edges():
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
     # Every live edge is a single: before the first query the index counts only singles.
-    assert {(u, v) for _wc, u, v in dm._sampled} == {(u, v) for u, v, _w in edges}
-    assert dm._eligible == eligible_pairs(dm._sampled, k) == sorted(
+    assert {(u, v) for _wc, u, v in sampled_keys(dm)} == {(u, v) for u, v, _w in edges}
+    assert dm._eligible == eligible_pairs(sampled_keys(dm), k) == sorted(
         (w, u, v) for u, v, w in edges[:3] + edges[-2:])
 
     text = f"H {n} {k} 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
@@ -138,13 +138,13 @@ def test_solver_input_counts_slow_samples_that_are_not_singles():
     edges = [(0, x, 3)] + [(0, y, 3) for y in others] + [(2, 3, 5), (4, 5, 1)]
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
-    singles = set(dm._sampled)  # before the first query, slow entries count as nothing
+    singles = set(sampled_keys(dm))  # before the first query, slow entries count as nothing
     dm.query()
     samples = {(3, *edge_from_id(res.ident)) for res in dm._slow.values() if isinstance(res, Sampled)}
     extra = samples - singles
     assert (3, 0, x) in extra
-    assert dm._sampled.keys() == singles | extra
-    assert (3, 0, x) in dm._eligible == eligible_pairs(dm._sampled, 1)
+    assert sampled_keys(dm).keys() == singles | extra
+    assert (3, 0, x) in dm._eligible == eligible_pairs(sampled_keys(dm), 1)
     assert len(dm._eligible) == 3
 
     text = f"H {n} 1 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"

@@ -178,12 +178,14 @@ _REFUSED_NUMBERS = [
     (f"H 4 1 0\nI 0 {'1' * 5000} 5\nQ\n", "line 2: vertex id has too many digits"),
     (f"H 10 1 0\nI 0 {'1' * 700} 5\nQ\n", "line 2: vertex id has too many digits"),
     ("H 4 1 0\nI 0 1 \uff15\nQ\n", "line 2: bad weight '\uff15'"),
+    (f"H 4 1 0\nI 0 1 00{'1' * 1001}\nQ\n", "line 2: weight has more than 1000 digits before the point"),
 ]
 _REFUSED_IDS = ["underscore-n", "signed-k", "n-of-5000-digits", "signed-u", "signed-zero-u", "arabic-indic-v",
-                "v-of-5000-digits", "v-of-700-digits", "fullwidth-weight"]
-# A vertex id, and an n, behind 700 leading zeros: n=10 and the edge (1, 2).
-_LEADING_ZEROS = [f"H 10 1 0\nI {'0' * 700}1 2 5\nQ\n", f"H {'0' * 700}10 1 0\nI 1 2 5\nQ\n"]
-_LEADING_ZEROS_IDS = ["u-of-701-digits", "n-of-702-digits"]
+                "v-of-5000-digits", "v-of-700-digits", "fullwidth-weight", "weight-of-1001-significant-digits"]
+# A vertex id, an n and a weight behind leading zeros: n=10 and the edge (1, 2, 5).
+_LEADING_ZEROS = [f"H 10 1 0\nI {'0' * 700}1 2 5\nQ\n", f"H {'0' * 700}10 1 0\nI 1 2 5\nQ\n",
+                  f"H 10 1 0\nI 1 2 {'0' * 1001}5\nQ\n"]
+_LEADING_ZEROS_IDS = ["u-of-701-digits", "n-of-702-digits", "weight-of-1002-digits"]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

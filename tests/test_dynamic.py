@@ -18,6 +18,7 @@ from checks import (
     hub_graph,
     key_parts,
     run_isolated,
+    sampled_keys,
     sweep_query,
     top_keys,
 )
@@ -155,9 +156,8 @@ def test_a_refused_update_leaves_the_matcher_as_it_was():
 
     def state():
         bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
-        index = (dict(dm._sampled), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
-        ranks = ({pair: list(wcs) if isinstance(wcs, list) else wcs for pair, wcs in dm._classes.items()},
-                 {x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
+        index = (sampled_keys(dm), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
+        ranks = ({x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
         return dict(dm.wclasses), dict(dm._values), bank, index, ranks
 
     before = state()
@@ -248,9 +248,9 @@ def _assert_index(dm):
                       for key, rec in dm.bank.items() if len(rec.net) == 1)
     samples = Counter((key_parts(dm, key)[2], *edge_from_id(res.ident))
                       for key, res in dm._slow.items() if isinstance(res, Sampled))
-    assert dm._sampled == singles + samples
+    assert sampled_keys(dm) == singles + samples
     _assert_ranks(dm)
-    assert dm._sampled_total == sum(dm._sampled.values())
+    assert dm._sampled_total == sum(sampled_keys(dm).values())
     assert dm._failed_total == sum(1 for res in dm._slow.values() if res is FAIL)
     # Net vectors with at most one id may be shared, so they are never changed
     # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
@@ -262,19 +262,15 @@ def _assert_index(dm):
 
 
 def _assert_ranks(dm):
-    # The rank index: each pair's sampled classes (one alone, two or more as
-    # an ascending list), each vertex's top keys ascending, and the keys
-    # ranked at most 2k-1 at both ends, as the brute force gives them.
-    classes: dict = {}
-    for wc, u, v in sorted(dm._sampled):
-        classes.setdefault((u, v), []).append(wc)
-    assert dm._classes == {pair: wcs if len(wcs) > 1 else wcs[0] for pair, wcs in classes.items()}
+    # The rank index: each vertex's top keys ascending, and the keys ranked
+    # at most 2k-1 at both ends, as the brute force gives them.
+    keys = sampled_keys(dm)
     by_vertex: dict = {}
-    for key in top_keys(dm._sampled):
+    for key in top_keys(keys):
         for x in key[1:]:
             by_vertex.setdefault(x, []).append(key)
     assert dm._by_vertex == by_vertex
-    assert dm._eligible == eligible_pairs(dm._sampled, dm.k)
+    assert dm._eligible == eligible_pairs(keys, dm.k)
 
 
 def _assert_owners(dm):
@@ -557,7 +553,7 @@ def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_its_top_spokes(mon
     assert decoded == []
     assert answer is first is None
     assert sizes == [2 * k - 1]
-    assert reads == [(u, v, wc) for wc, u, v in reversed(top_keys(dm._sampled)[-(2 * k - 1):])]
+    assert reads == [(u, v, wc) for wc, u, v in reversed(top_keys(sampled_keys(dm))[-(2 * k - 1):])]
 
 
 def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
@@ -598,7 +594,7 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     # Before the first query every slow entry counts as EMPTY, so the index
     # holds the singles alone.
     assert all(res is EMPTY for res in dm._slow.values())
-    singles = set(dm._sampled)
+    singles = set(sampled_keys(dm))
     assert (0, x) not in {(u, v) for _wc, u, v in singles}
     inputs = []
     monkeypatch.setattr(dynamic, "solve_exact",
@@ -610,11 +606,12 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     samples = {edge_from_id(res.ident) for res in dm._slow.values() if isinstance(res, Sampled)}
     assert (0, x) in samples
     assert samples & {(u, v) for _wc, u, v in singles}
-    assert set(dm._sampled) == singles | {(key_parts(dm, key)[2], *edge_from_id(res.ident))
+    keys = sampled_keys(dm)
+    assert set(keys) == singles | {(key_parts(dm, key)[2], *edge_from_id(res.ident))
                                           for key, res in dm._slow.items() if isinstance(res, Sampled)}
     (edges,) = inputs
     assert edges == sorted(edges, key=edge_key, reverse=True)
-    assert len(edges) == len(set(edges)) == len(eligible_pairs(dm._sampled, 1)) < len(singles) + 1 == len(dm._sampled)
+    assert len(edges) == len(set(edges)) == len(eligible_pairs(keys, 1)) < len(singles) + 1 == len(keys)
     assert (0, x, dm.wclasses[weight_class(3, eps) if eps else 3]) in edges
 
 
@@ -669,7 +666,7 @@ def test_query_on_a_star_reads_only_its_top_spokes(monkeypatch):
 
 
 def _sampled_edges(dm) -> list:
-    return [(u, v, dm.wclasses[wc]) for wc, u, v in dm._sampled]
+    return [(u, v, dm.wclasses[wc]) for wc, u, v in sampled_keys(dm)]
 
 
 @pytest.mark.parametrize("k, eligible", [(3, 13), (4, 25), (5, 41)])
@@ -729,14 +726,21 @@ def _hub_churn(n: int, length: int, rng: random.Random):
             yield EdgeUpdate(u, v, w, True)
 
 
+# Per k, the least counts of deletions that raise another pair within rank
+# 2k-1 and of slow entries seen (seen: 24 and 935 at k=1, 34 and 780 at k=2,
+# 61 and 90 at k=3).
+_CHURN_FLOORS = {1: (20, 500), 2: (20, 100), 3: (40, 50)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
-def test_the_rank_index_follows_churn_with_parallel_copies(eps):
+def test_the_rank_index_follows_churn_with_parallel_copies(eps, k):
     # After every update the rank index is the brute force's; at every
     # checkpoint the query and its stats are the sweep's, and at every fifth
     # the whole index is checked.  The churn holds parallel copies, deletions
-    # that raise another pair within rank 2k-1, and slow entries that the
-    # queries decode.
-    n, k = 600, 2
+    # that raise another pair within rank 2k-1 (k=1: the cap is one pair), and
+    # slow entries that the queries decode.
+    n = 600
     dm = DynamicMatcher(n, k, random.Random(9), mode="approx" if eps else "exact", eps=eps)
     parallel = raised = slow = checks = 0
     for step, upd in enumerate(_hub_churn(n, 700, random.Random(10)), 1):
@@ -745,7 +749,7 @@ def test_the_rank_index_follows_churn_with_parallel_copies(eps):
         _assert_ranks(dm)
         if not upd.insert:
             raised += any(key[1:] != (upd.u, upd.v) for key in set(dm._eligible) - before)
-        parallel += any(isinstance(wcs, list) for wcs in dm._classes.values())
+        parallel += any(len(classes) > 1 for classes in dm._sampled.values())
         if step % 10 == 0:
             answer, stats = sweep_query(dm)
             assert dm.query() == answer, step
@@ -754,7 +758,8 @@ def test_the_rank_index_follows_churn_with_parallel_copies(eps):
                 _assert_index(dm)
             slow += len(dm._slow)
             checks += 1
-    assert checks >= 60 and parallel >= 100 and raised >= 20 and slow >= 100
+    least_raised, least_slow = _CHURN_FLOORS[k]
+    assert checks >= 60 and parallel >= 100 and raised >= least_raised and slow >= least_slow
 
 
 def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
