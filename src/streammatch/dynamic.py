@@ -62,12 +62,13 @@ vertex, only the keys below it move there, each by one rank, so the one
 that can cross rank 2k-1 is the key now at rank 2k (an entry) or 2k-1 (a
 departure); a change syncs that key at each end, and an entering key
 itself, with a few bisects.  Class order is reported-weight order in both
-modes, so ``reversed(_eligible)`` is key-descending, and the solver reads
-it lazily, as a ``KeyDescending`` view, until its kernel is full: at most
-(2k-2)(2k-1)+1 edges on any shape, stars and hubs included.  The output is
+modes, so the top (2k-2)(2k-1)+1 keys of ``_eligible``, reversed, are
+key-descending, and a query hands the solver those alone, as a list: at
+most that many edges on any shape, stars and hubs included.  The output is
 the one all sampled edges give: every eligible pair ranks within 2k-1 among
-the eligible ones too, and they hold no parallel copies, so the kernel of
-``_eligible`` is the kernel of all sampled edges, in the same order.
+the eligible ones too, and they hold no parallel copies, so the solver
+keeps every edge it is handed, and those are the kernel of all sampled
+edges, in the same order.  Both caps are ``exact.kernel_bounds``.
 
 A vertex's values (``key_indices``) and a weight's class and slot are
 computed once per matcher, on the first update that names them, and
@@ -88,7 +89,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, ParameterError
-from .exact import KeyDescending, Matching, solve_exact
+from .exact import Matching, kernel_bounds, solve_exact
 from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled, levels_for, repetitions_for
 from .partition import HashScheme, build_scheme, key_indices
 from .seeds import derive_seed
@@ -248,7 +249,7 @@ class DynamicMatcher:
         self._sampled: dict[tuple, dict] = {}  # (u, v) -> {class: entries sampling it} (module docstring)
         self._by_vertex: dict[int, list[tuple]] = {}  # x -> (top class, u, v) of its sampled pairs, ascending
         self._eligible: list[tuple] = []  # the keys ranked at most 2k-1 at both ends, ascending
-        self._cap = 2 * k - 1
+        self._cap, self._kernel_size = kernel_bounds(k)
         self._sampled_total = 0  # sum of the counts in ``_sampled``
         self._failed_total = 0  # slow entries whose counted outcome is FAIL
         self._slow: dict[int, object] = {}  # slow key -> its counted outcome
@@ -411,9 +412,9 @@ class DynamicMatcher:
         """Solve exactly on the edges the bank entries sample.
 
         Only the slow entries touched since the last query are decoded,
-        and the solver is handed the eligible keys alone, which give the
-        answer all sampled edges give (module docstring).  Repeatable:
-        back-to-back queries agree.
+        and the solver is handed the top eligible keys alone, its kernel
+        of all sampled edges (module docstring).  Repeatable: back-to-back
+        queries agree.
         """
         per_slot = self._range_size**2
         for key in self._dirty:
@@ -426,8 +427,8 @@ class DynamicMatcher:
         sampled, failed = self._sampled_total, self._failed_total
         self.last_query_stats = QueryStats(sampled, len(self.bank) - sampled - failed, failed)
         wclasses = self.wclasses
-        edges = ((u, v, wclasses[wc]) for wc, u, v in reversed(self._eligible))
-        return solve_exact(KeyDescending(edges, len(self._eligible)), self.k)
+        kernel = self._eligible[-self._kernel_size:]
+        return solve_exact([(u, v, wclasses[wc]) for wc, u, v in reversed(kernel)], self.k)
 
 
 def abstract_sampler_words(n_ids: int, delta: float) -> int:

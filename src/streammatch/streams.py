@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ModelError, ParameterError, StreamFormatError
 from .seeds import spawn_rng
@@ -100,12 +101,19 @@ def format_weight(w, precision: int) -> str:
     return f"{(Decimal(x.numerator) / Decimal(x.denominator)).normalize(Context(prec=6)):g}"
 
 
-def _field_int(digits: str) -> int | None:
-    """int(digits) for ASCII digits, or None past _CHUNK digits after the
-    leading zeros: far more than an n, k, precision or vertex id in range has,
-    and few enough for int() under any PYTHONINTMAXSTRDIGITS setting."""
-    digits = digits.lstrip("0") or "0"
-    return int(digits) if len(digits) <= _CHUNK else None
+def _ints(line_no: int, what: str, *tokens: str) -> Iterator[int]:
+    """The ints of ``tokens``: all must be ASCII digits, then each at most
+    _CHUNK digits after its leading zeros: far more than an n, k, precision
+    or vertex id in range has, and few enough for int() under any
+    PYTHONINTMAXSTRDIGITS setting."""
+    joined = "".join(tokens)
+    if not (joined.isdigit() and joined.isascii()):
+        raise StreamFormatError(line_no, f"{what}s must be ASCII digits")
+    if len(joined) > _CHUNK:
+        tokens = tuple(t.lstrip("0") or "0" for t in tokens)
+        if max(map(len, tokens)) > _CHUNK:
+            raise StreamFormatError(line_no, f"{what} has too many digits")
+    return map(int, tokens)
 
 
 def split_lines(text: str) -> list[str]:
@@ -134,11 +142,7 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
                 raise StreamFormatError(line_no, "duplicate header")
             if len(fields) != 4:
                 raise StreamFormatError(line_no, "header needs: H <n> <k> <precision>")
-            if not all(f.isdigit() and f.isascii() for f in fields[1:]):
-                raise StreamFormatError(line_no, "header fields must be ASCII digits")
-            n, k, precision = values = [_field_int(f) for f in fields[1:]]
-            if None in values:
-                raise StreamFormatError(line_no, "header field has too many digits")
+            n, k, precision = _ints(line_no, "header field", *fields[1:])
             try:
                 check_size(n, k)
             except ParameterError as exc:
@@ -158,12 +162,7 @@ def parse_stream(text: str, insert_only: bool = False) -> StreamFile:
             raise StreamFormatError(line_no, "deletion in insert-only mode")
         if len(fields) != 4:
             raise StreamFormatError(line_no, f"{tag} record needs: {tag} <u> <v> <w>")
-        a, b = fields[1], fields[2]
-        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
-            raise StreamFormatError(line_no, "vertex ids must be ASCII digits")
-        u, v = _field_int(a), _field_int(b)
-        if u is None or v is None:
-            raise StreamFormatError(line_no, "vertex id has too many digits")
+        u, v = _ints(line_no, "vertex id", fields[1], fields[2])
         n = header[0]
         if not (u < n and v < n):
             raise StreamFormatError(line_no, f"vertex id outside [0, {n})")

@@ -59,7 +59,6 @@ class TrialReport:
     successes: int = 0
     within_eps: int = 0
     one_sided_violations: int = 0
-    distinct_weight_classes: int = 0
 
 
 def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
@@ -126,8 +125,5 @@ def run_trials(config: TrialConfig, trials: int, seed: int) -> TrialReport:
         truth = GraphReplay()
         for answer in replay(sf.records, matcher, truth):
             _evaluate_query(config, matcher.eps, answer, truth.live, opt, report)
-        if config.model != "insert":  # wclasses only grows, so its final size is the maximum
-            report.distinct_weight_classes = max(report.distinct_weight_classes,
-                                                 len(matcher.wclasses))
         report.trials += 1
     return report

@@ -22,6 +22,7 @@ import pytest
 from checks import covered_vertex, eligible_pairs, sampled_keys
 
 from streammatch.dynamic import DynamicMatcher, EdgeUpdate, edge_from_id
+from streammatch.exact import kernel_bounds
 from streammatch.insertonly import insert_preprocess, insert_update
 from streammatch.l0sampler import Sampled
 from streammatch.partition import key_indices
@@ -130,8 +131,8 @@ def test_solver_input_counts_slow_samples_that_are_not_singles():
     # Every entry of (0, x) is shared with another edge (0, y), so (0, x) is
     # no single and reaches the solver only as a slow entry's sample.  It is
     # the top spoke at 0, so at k=1 it is eligible with the two disjoint
-    # edges.  The solver is handed a lazy view of the eligible keys; the
-    # counter records its length, the extra sample included.
+    # edges.  The solver is handed the top (2k-2)(2k-1)+1 = 1 of them; the
+    # counter records that list's length.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
     x, others = covered_vertex(dm)
@@ -149,7 +150,7 @@ def test_solver_input_counts_slow_samples_that_are_not_singles():
 
     text = f"H {n} 1 0\n" + "".join(f"I {u} {v} {w}\n" for u, v, w in edges) + "Q\n"
     out = _traced_pass({"kind": "dynamic"}, text)
-    assert out["trace"]["counters"]["solve_sizes"] == [len(dm._eligible)]
+    assert out["trace"]["counters"]["solve_sizes"] == [min(len(dm._eligible), kernel_bounds(1)[1])] == [1]
 
 
 def test_insert_pass():

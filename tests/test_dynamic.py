@@ -35,7 +35,7 @@ from streammatch.dynamic import (
     weight_class,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import KeyDescending, is_valid_matching, solve_exact
+from streammatch.exact import is_valid_matching, kernel_bounds, solve_exact
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.seeds import derive_seed
@@ -549,11 +549,10 @@ def test_a_repeated_query_on_a_star_decodes_nothing_and_reads_its_top_spokes(mon
     first = dm.query()
     assert len(decoded) == len(dm._slow) >= 1
     decoded.clear()
-    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    answer, edges = _solver_reads(monkeypatch, dm)
     assert decoded == []
     assert answer is first is None
-    assert sizes == [2 * k - 1]
-    assert reads == [(u, v, wc) for wc, u, v in reversed(top_keys(sampled_keys(dm))[-(2 * k - 1):])]
+    assert edges == [(u, v, wc) for wc, u, v in reversed(top_keys(sampled_keys(dm))[-(2 * k - 1):])]
 
 
 def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
@@ -584,8 +583,8 @@ def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
 def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     # Every entry of (0, x) is shared with an edge (0, y), so (0, x) is no
     # single and reaches the solver only as a slow entry's sample, while the
-    # other slow samples are edges (0, y) that are singles too.  The solver
-    # gets each sampled edge once, all of them key-descending.
+    # other slow samples are edges (0, y) that are singles too.  At k=1 the
+    # kernel is one edge: the solver is handed the top eligible key alone.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(1), mode="approx" if eps else "exact", eps=eps)
     x, others = covered_vertex(dm)
@@ -596,11 +595,10 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     assert all(res is EMPTY for res in dm._slow.values())
     singles = set(sampled_keys(dm))
     assert (0, x) not in {(u, v) for _wc, u, v in singles}
-    inputs = []
-    monkeypatch.setattr(dynamic, "solve_exact",
-                        lambda edges, k: inputs.append(list(edges)) or solve_exact(inputs[-1], k))
     answer, stats = sweep_query(dm)
-    assert dm.query() == answer
+    got, edges = _solver_reads(monkeypatch, dm)
+    assert got == answer
+    assert edges == _kernel(dm)
     assert dm.last_query_stats == stats
     _assert_index(dm)
     samples = {edge_from_id(res.ident) for res in dm._slow.values() if isinstance(res, Sampled)}
@@ -609,60 +607,56 @@ def test_slow_samples_join_the_singles_once(eps, monkeypatch):
     keys = sampled_keys(dm)
     assert set(keys) == singles | {(key_parts(dm, key)[2], *edge_from_id(res.ident))
                                           for key, res in dm._slow.items() if isinstance(res, Sampled)}
-    (edges,) = inputs
-    assert edges == sorted(edges, key=edge_key, reverse=True)
-    assert len(edges) == len(set(edges)) == len(eligible_pairs(keys, 1)) < len(singles) + 1 == len(keys)
-    assert (0, x, dm.wclasses[weight_class(3, eps) if eps else 3]) in edges
+    assert dm._eligible == eligible_pairs(keys, 1)
+    assert len(dm._eligible) < len(singles) + 1 == len(keys)
+    assert (weight_class(3, eps) if eps else 3, 0, x) in dm._eligible
+    assert len(edges) == min(len(dm._eligible), kernel_bounds(1)[1]) == 1
 
 
 def _solver_reads(monkeypatch, dm):
-    """The edges a query's solver reads from the view it is handed, in order,
-    and the view's length."""
-    reads, sizes = [], []
-
-    def tap(view):
-        for e in view:
-            reads.append(e)
-            yield e
-
-    def counting(edges, k):
-        sizes.append(len(edges))
-        return solve_exact(KeyDescending(tap(edges), len(edges)), k)
-
-    monkeypatch.setattr(dynamic, "solve_exact", counting)
+    """A query's answer and the edge list its solver is handed."""
+    inputs = []
+    monkeypatch.setattr(dynamic, "solve_exact", lambda edges, k: inputs.append(edges) or solve_exact(edges, k))
     answer = dm.query()
-    return answer, reads, sizes
+    (edges,) = inputs
+    return answer, edges
+
+
+def _kernel(dm) -> list:
+    """The top (2k-2)(2k-1)+1 eligible keys by the brute force, as edges,
+    key-descending: what a query should hand the solver."""
+    keys = eligible_pairs(sampled_keys(dm), dm.k)[-kernel_bounds(dm.k)[1]:]
+    return [(u, v, dm.wclasses[wc]) for wc, u, v in reversed(keys)]
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
 def test_query_reads_only_the_kernel(eps, monkeypatch):
-    # n/2 disjoint edges: at k=2 every edge read is kept, so the solver stops
-    # after (2k-2)(2k-1)+1 = 7 of them, the heaviest, however many are live.
+    # n/2 disjoint edges, all eligible: at k=2 the solver is handed the
+    # (2k-2)(2k-1)+1 = 7 heaviest, its kernel, however many are live.
     n, k = 200, 2
     dm = DynamicMatcher(n, k, random.Random(3), mode="approx" if eps else "exact", eps=eps)
     for u in range(0, n, 2):
         dm.update(EdgeUpdate(u, u + 1, u + 1, True))
-    answer, reads, sizes = _solver_reads(monkeypatch, dm)
-    assert sizes == [n // 2]
-    assert len(reads) == 7
-    assert reads == sorted(reads, key=edge_key, reverse=True)
-    assert {(u, v) for u, v, _w in reads} == {(u, u + 1) for u in range(n - 14, n, 2)}
+    answer, edges = _solver_reads(monkeypatch, dm)
+    assert len(dm._eligible) == n // 2
+    assert len(edges) == 7
+    assert edges == sorted(edges, key=edge_key, reverse=True)
+    assert {(u, v) for u, v, _w in edges} == {(u, u + 1) for u in range(n - 14, n, 2)}
     assert {e[:2] for e in answer.edges} == {(n - 2, n - 1), (n - 4, n - 3)}
 
 
 def test_query_on_a_star_reads_only_its_top_spokes(monkeypatch):
     # Every spoke shares the centre, so only the 2k-1 = 3 heaviest rank within
-    # 2k-1 there: the solver is handed those alone, reads them, and finds no
-    # 2-matching, as on every edge.
+    # 2k-1 there: the solver is handed those alone and finds no 2-matching,
+    # as on every edge.
     n, k = 60, 2
     dm = DynamicMatcher(n, k, random.Random(4))
     spokes = [(0, v, v % 7) for v in range(1, n)]
     for u, v, w in spokes:
         dm.update(EdgeUpdate(u, v, w, True))
-    answer, reads, sizes = _solver_reads(monkeypatch, dm)
+    answer, edges = _solver_reads(monkeypatch, dm)
     assert answer is None is solve_exact(spokes, k)
-    assert sizes == [2 * k - 1]
-    assert reads == sorted(spokes, key=edge_key, reverse=True)[:2 * k - 1]
+    assert edges == sorted(spokes, key=edge_key, reverse=True)[:2 * k - 1]
 
 
 def _sampled_edges(dm) -> list:
@@ -673,15 +667,14 @@ def _sampled_edges(dm) -> list:
 def test_query_on_hubs_reads_only_the_eligible_edges(k, eligible, monkeypatch):
     # k-1 hubs of 180 spokes: the 2k-1 top spokes of each hub and the k light
     # edges are eligible, fewer than the (2k-2)(2k-1)+1 the kernel keeps, so
-    # the solver reads exactly those; its answer is the one all edges give.
+    # the solver is handed exactly those; its answer is the one all edges give.
     edges, planted = hub_graph(k)
     n = 1 + max(v for _u, v, _w in edges)
     dm = DynamicMatcher(n, k, random.Random(k))
     for u, v, w in edges:
         dm.update(EdgeUpdate(u, v, w, True))
-    answer, reads, sizes = _solver_reads(monkeypatch, dm)
-    assert sizes == [eligible] == [(k - 1) * (2 * k - 1) + k]
-    assert len(reads) == eligible <= (2 * k - 2) * (2 * k - 1) + 1
+    answer, edges = _solver_reads(monkeypatch, dm)
+    assert len(edges) == eligible == (k - 1) * (2 * k - 1) + k <= (2 * k - 2) * (2 * k - 1) + 1
     assert answer == solve_exact(_sampled_edges(dm), k) == solve_exact(edges, k) == planted
 
 
@@ -697,9 +690,8 @@ def test_query_on_a_large_star_reads_at_most_the_kernel_bound(k, monkeypatch):
         dm.update(EdgeUpdate(0, v, v % 13 + 1, True))
     for u in range(spokes + 1, n, 2):
         dm.update(EdgeUpdate(u, u + 1, 1, True))
-    answer, reads, sizes = _solver_reads(monkeypatch, dm)
-    assert sizes == [len(reads)] == [2 * k - 1 + k - 1]
-    assert len(reads) <= (2 * k - 2) * (2 * k - 1) + 1
+    answer, edges = _solver_reads(monkeypatch, dm)
+    assert len(edges) == 2 * k - 1 + k - 1 <= (2 * k - 2) * (2 * k - 1) + 1
     assert answer == solve_exact(_sampled_edges(dm), k)
     assert answer is not None and len(answer) == k
 
@@ -734,10 +726,11 @@ _CHURN_FLOORS = {1: (20, 500), 2: (20, 100), 3: (40, 50)}
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
-def test_the_rank_index_follows_churn_with_parallel_copies(eps, k):
+def test_the_rank_index_follows_churn_with_parallel_copies(eps, k, monkeypatch):
     # After every update the rank index is the brute force's; at every
-    # checkpoint the query and its stats are the sweep's, and at every fifth
-    # the whole index is checked.  The churn holds parallel copies, deletions
+    # checkpoint the query and its stats are the sweep's, the solver is handed
+    # the top (2k-2)(2k-1)+1 eligible keys, and at every fifth the whole index
+    # is checked.  The churn holds parallel copies, deletions
     # that raise another pair within rank 2k-1 (k=1: the cap is one pair), and
     # slow entries that the queries decode.
     n = 600
@@ -752,7 +745,7 @@ def test_the_rank_index_follows_churn_with_parallel_copies(eps, k):
         parallel += any(len(classes) > 1 for classes in dm._sampled.values())
         if step % 10 == 0:
             answer, stats = sweep_query(dm)
-            assert dm.query() == answer, step
+            assert _solver_reads(monkeypatch, dm) == (answer, _kernel(dm)), step
             assert dm.last_query_stats == stats, step
             if step % 50 == 0:
                 _assert_index(dm)

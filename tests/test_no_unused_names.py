@@ -4,8 +4,10 @@ or ``scripts/`` outside its own definition.
 
 A read is a loaded name, an attribute, a name imported from a module, or an
 identifier inside a string constant (``perfbench/spans.py`` patches by dotted
-path).  Names are matched by identifier alone, across modules; dunder names
-are called by the interpreter and are not checked."""
+path).  A load inside an assignment to the same name is no read: a field
+that is only ever updated from itself is read by nothing.  Names are
+matched by identifier alone, across modules; dunder names are called by
+the interpreter and are not checked."""
 
 import ast
 from collections import Counter
@@ -16,17 +18,30 @@ PACKAGE = ROOT / "src" / "streammatch"
 READERS = ("src", "perfbench", "scripts")
 
 
+def _name(node: ast.AST, ctx: type) -> str | None:
+    """The identifier of a Name or Attribute node in context ``ctx``, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ctx):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+        return node.attr
+    return None
+
+
 def _reads(tree: ast.AST) -> Counter:
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found[node.attr] += 1
+        name = _name(node, ast.Load)
+        if name is not None:
+            found[name] += 1
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.update(part for part in node.value.split(".") if part.isidentifier())
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            # x.n = max(x.n, m) only updates n: its load of n is no read.
+            inner = list(ast.walk(node))
+            stored = {_name(part, ast.Store) for part in inner} - {None}
+            found.subtract(name for part in inner if (name := _name(part, ast.Load)) in stored)
     return found
 
 
