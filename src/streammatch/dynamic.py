@@ -29,12 +29,14 @@ from the seed as it reads them, so the outcome is the one a sampler updated
 from the start gives.  The abstract space accounting still charges the full
 sketch.
 
+An entry exists only while its net vector is nonzero: an update that
+empties it deletes its key from ``bank`` and ``_seeds``, and one that
+touches it again creates it anew with the same seed, derived from its key.
 Bank values follow one rule, so that most entries own no object at all.  A
-value with at most one id may be shared, so it is replaced, never changed:
-every entry one update creates, refills or moves from {id: c} to {id: c'}
-holds that update's one value (every entry of one edge and class holds the
-same count of its id), and every entry a deletion empties holds
-``EMPTY_ENTRY``.  A value with two or more ids belongs to one entry and is
+value with one id may be shared, so it is replaced, never changed: every
+entry one update creates or moves from {id: c} to {id: c'} holds that
+update's one value (every entry of one edge and class holds the same count
+of its id).  A value with two or more ids belongs to one entry and is
 changed in place.
 
 An entry's outcome is fixed by its seed and net vector, so the matcher
@@ -183,10 +185,10 @@ def class_representative(i: int, eps) -> Fraction:
 
 
 class BankSampler:
-    """A bank value: an exact net update vector (id -> net count).  With at
-    most one id it may be shared and is replaced, never changed; with two or
-    more ids it belongs to one entry.  A decode takes the entry's seed from
-    ``DynamicMatcher._seeds``."""
+    """A bank value: an exact net update vector (id -> net count), never
+    empty.  With one id it may be shared and is replaced, never changed; with
+    two or more ids it belongs to one entry.  A decode takes the entry's seed
+    from ``DynamicMatcher._seeds``."""
 
     __slots__ = ("net",)
 
@@ -198,10 +200,6 @@ class BankSampler:
         for ident, count in self.net.items():
             sketch.update(ident, count)
         return sketch
-
-
-# The value of every entry a deletion empties; never changed.
-EMPTY_ENTRY = BankSampler({})
 
 
 @dataclass
@@ -264,7 +262,7 @@ class DynamicMatcher:
         values_u = self._values.get(upd.u) or self._vertex_values(upd.u)
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
         count = 1 if upd.insert else -1
-        fresh = BankSampler({ident: count})  # held by every entry this update creates or refills
+        fresh = BankSampler({ident: count})  # held by every entry this update creates
         moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}
         bank = self.bank
         slow = self._slow
@@ -295,9 +293,6 @@ class DynamicMatcher:
                         self._tally(wc, slow.pop(key), -1)
                         dirty.discard(key)
                         self._count((wc, *edge_from_id(next(iter(net)))), 1)
-                elif not net:  # 0 -> 1, a refill
-                    bank[key] = fresh
-                    gained += 1
                 else:  # one id, maybe shared: replaced, never changed
                     ((other, c),) = net.items()
                     if other != ident:  # 1 -> 2
@@ -309,8 +304,8 @@ class DynamicMatcher:
                         if moved is None:
                             moved = BankSampler({ident: c + count})
                         bank[key] = moved
-                    else:  # 1 -> 0
-                        bank[key] = EMPTY_ENTRY
+                    else:  # 1 -> 0: the entry goes
+                        del bank[key], self._seeds[key]
                         gained -= 1
         if gained:
             self._count((wc, upd.u, upd.v), gained)

@@ -31,7 +31,7 @@ All of a sampler's randomness is its seed.  ``query`` draws each cell's
 would, at ``getrandbits`` cost: width.bit_length() bits, drawn again while
 not below the width.  So a query draws no cell it does not read, and every
 query reads the same cells.  The field prime depends only on the domain
-size and is computed once per size; ``next_prime`` refuses one not below
+size, and ``next_prime`` memoizes it per size; it refuses one not below
 psi_13, so a domain of psi_13 or more is a ParameterError.
 
 A sampler is single-owner mutable state; distinct samplers are
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 
 from .errors import DomainError, ParameterError
@@ -96,7 +95,6 @@ def levels_for(n: int) -> int:
     return (n - 1).bit_length() + 1
 
 
-@lru_cache(maxsize=64)
 def _field_prime(n: int) -> int:
     """The prime of the subsampling field for the domain [0, n).
 

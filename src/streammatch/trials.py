@@ -63,6 +63,8 @@ class TrialReport:
 
 def make_matcher(model: str, n: int, k: int, rng, eps, delta: float):
     """The matcher for ``model``: an ``InsertOnlyMatcher`` or a ``DynamicMatcher``."""
+    if model not in MODELS:
+        raise ParameterError(f"model must be one of {MODELS}, got {model!r}")
     if model == "insert":
         return InsertOnlyMatcher(n, k, delta, rng)
     mode = "approx" if model == "dynamic-approx" else "exact"

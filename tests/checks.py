@@ -392,6 +392,11 @@ def key_parts(dm, key: int) -> tuple:
     return i, j, dm._slot_class[slot]
 
 
+def entry_seed(dm, key: int) -> int:
+    """The seed of bank entry ``key``, derived from its key's parts."""
+    return derive_seed(dm._bank_seed, *key_parts(dm, key))
+
+
 def covered_vertex(dm) -> tuple[int, list[int]]:
     """The largest vertex x that shares each of its values with a smaller
     vertex y other than 0, and for each value one such y.
@@ -411,24 +416,21 @@ def covered_vertex(dm) -> tuple[int, list[int]]:
 def sweep_query(matcher) -> tuple[Matching | None, QueryStats]:
     """Reference ``DynamicMatcher.query``: decode every bank entry once.
 
-    A zero vector is EMPTY and a one-sparse vector decodes as its id (the
-    full construction's exact outcomes); any other entry decodes a freshly
-    built sketch of its net vector, with the seed derived from the key's
-    parts rather than read from the matcher, so the matcher is left
-    untouched.  Returns the answer and the query stats.
+    A one-sparse vector decodes as its id (the full construction's exact
+    outcome); any other entry decodes a freshly built sketch of its net
+    vector, with the seed derived from the key's parts rather than read
+    from the matcher, so the matcher is left untouched.  Returns the answer
+    and the query stats.
     """
     stats = QueryStats()
     edges: set = set()
     reps: dict = {}
     for key, rec in matcher.bank.items():
-        i, j, wc = key_parts(matcher, key)
-        if not rec.net:
-            res = EMPTY
-        elif len(rec.net) == 1:
+        wc = key_parts(matcher, key)[2]
+        if len(rec.net) == 1:
             res = Sampled(next(iter(rec.net)))
         else:
-            seed = derive_seed(matcher._bank_seed, i, j, wc)
-            res = rec._materialize(seed, matcher.n_ids, matcher.delta).query()
+            res = rec._materialize(entry_seed(matcher, key), matcher.n_ids, matcher.delta).query()
         if isinstance(res, Sampled):
             stats.sampled += 1
             u, v = edge_from_id(res.ident)

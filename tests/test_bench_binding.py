@@ -81,31 +81,39 @@ def test_dynamic_pass_without_a_two_id_entry():
     # hub-query's shape: no entry ever holds two ids, so the query decodes
     # nothing, and still its coverage guard wants seeds.derive_seed calls.
     # A seed derived only when an entry is decoded would leave that span empty.
+    # Deleting (0, 1) removes its entries, so (0, 2) creates each of its own,
+    # and the seeds derived are the entries created, counted on a direct matcher.
+    dm = DynamicMatcher(12, 1, random.Random(MATCHER_SEED))
+    created = 0
+    for v, insert in ((1, True), (1, False), (2, True)):
+        before = set(dm.bank)
+        dm.update(EdgeUpdate(0, v, 3, insert))
+        created += len(dm.bank.keys() - before)
     out = _traced_pass({"kind": "dynamic"}, "H 12 1 0\nI 0 1 3\nQ\nD 0 1 3\nI 0 2 3\nQ\n")
     trace = out["trace"]
     assert trace["l0sampler.materialize"]["calls"] == 0
     # One seed per created entry, and one key_indices call per vertex.
-    assert trace["seeds.derive_seed"]["calls"] == out["extra"]["bank"]["entries"] >= 1
+    assert trace["seeds.derive_seed"]["calls"] == created == 2 * dm.last_touched
+    assert out["extra"]["bank"]["entries"] == len(dm.bank) == dm.last_touched
     assert trace["partition.key_indices"]["calls"] == 3
 
 
 def test_dynamic_pass_counts_emptied_and_refilled_entries():
-    # (0, x) shares entries with (0, 1): deleting (0, 1) empties all of its
-    # entries, and inserting (0, x) refills the shared ones.  Emptied entries
-    # all hold one shared empty vector; the worker counts zero entries by
-    # ``not rec.net``, and its counts must be those of a direct matcher.
+    # (0, x) shares entries with (0, 1): deleting (0, 1) removes all of its
+    # entries, and inserting (0, x) creates the shared ones again.  The worker
+    # counts zero entries by ``not rec.net``: there are none, and its entry
+    # count must be a direct matcher's.
     n = 600
     dm = DynamicMatcher(n, 1, random.Random(MATCHER_SEED))
     values_1 = set(key_indices(1, dm.scheme))
     x = next(x for x in range(2, n) if values_1 & set(key_indices(x, dm.scheme)))
     for v, insert in ((1, True), (1, False), (x, True)):
         dm.update(EdgeUpdate(0, v, 3, insert))
-    zero_entries = sum(1 for rec in dm.bank.values() if not rec.net)
-    assert 0 < zero_entries < dm.last_touched < len(dm.bank) < 2 * dm.last_touched
+    assert len(dm.bank) == dm.last_touched
 
     out = _traced_pass({"kind": "dynamic"}, f"H {n} 1 0\nI 0 1 3\nD 0 1 3\nI 0 {x} 3\nQ\n")
     bank = out["extra"]["bank"]
-    assert (bank["entries"], bank["zero_entries"]) == (len(dm.bank), zero_entries)
+    assert (bank["entries"], bank["zero_entries"]) == (len(dm.bank), 0)
 
 
 def test_solver_input_is_the_eligible_edges():

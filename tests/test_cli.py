@@ -48,7 +48,7 @@ query 2: weight=9 edges: (0,2,7) (6,10,2)
 query 3: weight=13 edges: (0,2,7) (5,10,6)
 query 4: weight=13 edges: (0,2,7) (5,10,6)
 query 5: weight=13 edges: (0,2,7) (5,10,6)
-stats: bank=2304 touched_per_update=144 weight_classes=5 delta=0.00225
+stats: bank=1152 touched_per_update=144 weight_classes=5 delta=0.00225
 """
 
 GOLDEN_APPROX = """\
@@ -57,7 +57,7 @@ query 2: weight=9.54384 edges: (0,2,7.40025) (6,10,2.14359)
 query 3: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
 query 4: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
 query 5: weight=13.5162 edges: (0,2,7.40025) (5,10,6.11591)
-stats: bank=2304 touched_per_update=144 weight_classes=5 delta=0.00225
+stats: bank=1152 touched_per_update=144 weight_classes=5 delta=0.00225
 """
 
 GOLDEN_INSERT = """\

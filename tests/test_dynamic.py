@@ -14,6 +14,7 @@ from checks import (
     covered_vertex,
     edge_key,
     eligible_pairs,
+    entry_seed,
     enumerate_oracle,
     hub_graph,
     key_parts,
@@ -25,7 +26,6 @@ from checks import (
 
 from streammatch import dynamic
 from streammatch.dynamic import (
-    EMPTY_ENTRY,
     BankSampler,
     DynamicMatcher,
     EdgeUpdate,
@@ -38,7 +38,6 @@ from streammatch.errors import DomainError, ParameterError
 from streammatch.exact import is_valid_matching, kernel_bounds, solve_exact
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
-from streammatch.seeds import derive_seed
 from streammatch.streams import MAX_VERTICES, GraphReplay, gen_planted
 
 
@@ -170,16 +169,22 @@ def test_insert_then_delete_restores_state():
     dm = DynamicMatcher(16, 2, random.Random(1))
     dm.update(EdgeUpdate(0, 1, 7, True))
     dm.update(EdgeUpdate(0, 1, 7, False))
-    assert all(not rec.net for rec in dm.bank.values())
+    assert not dm.bank
     assert dm.query() is None
 
 
 def test_equal_weight_same_g_images_share_samplers():
+    # Deleting the edge deletes every entry it created; inserting it again
+    # creates the same keys, with the same seeds, derived from the keys.
     dm = DynamicMatcher(16, 2, random.Random(1))
     dm.update(EdgeUpdate(0, 1, 7, True))
-    size = len(dm.bank)
+    keys = set(dm.bank)
     dm.update(EdgeUpdate(0, 1, 7, False))
-    assert len(dm.bank) == size  # same keys touched, nothing new created
+    _assert_owners(dm)
+    assert not dm.bank
+    dm.update(EdgeUpdate(0, 1, 7, True))
+    assert dm.bank.keys() == keys
+    _assert_owners(dm)
 
 
 def test_empty_stream_queries_empty():
@@ -241,7 +246,7 @@ def _assert_index(dm):
     assert dm._slow.keys() == {key for key, rec in dm.bank.items() if len(rec.net) >= 2}
     assert dm._dirty <= dm._slow.keys()
     for key in dm._slow.keys() - dm._dirty:
-        assert dm._slow[key] == dm.bank[key]._materialize(dm._seeds[key], dm.n_ids, dm.delta).query(), key
+        assert dm._slow[key] == dm.bank[key]._materialize(entry_seed(dm, key), dm.n_ids, dm.delta).query(), key
     # Every entry whose net vector is exactly {id}, and every slow entry whose
     # counted outcome samples an id, counts once at that edge and class.
     singles = Counter((key_parts(dm, key)[2], *edge_from_id(next(iter(rec.net))))
@@ -252,10 +257,8 @@ def _assert_index(dm):
     _assert_ranks(dm)
     assert dm._sampled_total == sum(sampled_keys(dm).values())
     assert dm._failed_total == sum(1 for res in dm._slow.values() if res is FAIL)
-    # Net vectors with at most one id may be shared, so they are never changed
-    # in place: EMPTY_ENTRY stays empty, and no two entries hold one vector with
-    # two or more ids.
-    assert not EMPTY_ENTRY.net
+    # Net vectors with one id may be shared, so they are never changed in
+    # place, and no two entries hold one vector with two or more ids.
     owned = [id(rec.net) for rec in dm.bank.values() if len(rec.net) >= 2]
     assert len(set(owned)) == len(owned)
     _assert_owners(dm)
@@ -275,15 +278,17 @@ def _assert_ranks(dm):
 
 def _assert_owners(dm):
     # ``_seeds`` is the one store of the entries' seeds: one per entry, derived
-    # from its key's parts.
-    assert len(dm._seeds) == len(dm.bank)
+    # from its key's parts.  An entry exists only while its net vector is nonzero.
+    assert dm._seeds.keys() == dm.bank.keys()
+    assert all(rec.net for rec in dm.bank.values())
     for key in dm.bank:
-        assert dm._seeds[key] == derive_seed(dm._bank_seed, *key_parts(dm, key)), key
+        assert dm._seeds[key] == entry_seed(dm, key), key
 
 
 def _assert_nets(dm, updates):
     # Each entry's net vector is the sum of the updates that touched it, so a
-    # shared vector changed in place, which reaches every entry holding it, fails.
+    # shared vector changed in place, which reaches every entry holding it,
+    # fails; a key whose updates sum to zero holds no entry.
     nets: dict = {}
     for upd in updates:
         wc = weight_class(upd.w, dm.eps) if dm.eps is not None else upd.w
@@ -296,7 +301,7 @@ def _assert_nets(dm, updates):
                     net[ident] = c
                 else:
                     del net[ident]
-    assert {key: rec.net for key, rec in dm.bank.items()} == nets
+    assert {key: rec.net for key, rec in dm.bank.items()} == {key: net for key, net in nets.items() if net}
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):
@@ -378,8 +383,8 @@ def test_index_follows_entries_across_two_ids():
 
 
 def test_shared_net_vectors_are_replaced_not_changed():
-    # Every entry one update creates holds the same {id: count} dict, and every
-    # emptied entry holds EMPTY_NET.  Walk entries shared by (0, 1) and (0, x)
+    # Every entry one update creates holds the same {id: count} dict, and an
+    # emptied entry is deleted.  Walk entries shared by (0, 1) and (0, x)
     # through a count of 2 and through 2 -> 1 -> 0 -> 1 ids.
     dm = DynamicMatcher(600, 1, random.Random(1))
     values_1 = set(key_indices(1, dm.scheme))
@@ -388,8 +393,8 @@ def test_shared_net_vectors_are_replaced_not_changed():
         (1, True), (1, True),  # a repeated insert: count 2 at every entry of (0, 1)
         (x, True),  # the shared entries go 1 -> 2
         (1, False), (1, False),  # 2 -> 2, then 2 -> 1: (0, x) alone
-        (x, False),  # 1 -> 0: every entry of (0, x) is emptied
-        (1, True),  # 0 -> 1: the shared entries are refilled
+        (x, False),  # 1 -> 0: every entry of (0, x) is deleted
+        (1, True),  # 0 -> 1: the shared entries are created again
         (x, True), (x, False),  # 1 -> 2 -> 1
         (1, False),  # 1 -> 0
     ]
@@ -402,7 +407,7 @@ def test_shared_net_vectors_are_replaced_not_changed():
         answer, stats = sweep_query(dm)
         assert dm.query() == answer
         assert dm.last_query_stats == stats
-    assert all(rec is EMPTY_ENTRY for rec in dm.bank.values())
+    assert not dm.bank
 
 
 def test_changed_entry_is_decoded_again():
@@ -489,7 +494,8 @@ def test_a_collision_heavy_corpus_queries_as_the_sweep(eps):
         for i in key_indices(edge[0], dm.scheme):
             for j in key_indices(edge[1], dm.scheme):
                 key = bank_key(dm, i, j, wc)
-                sizes.setdefault(key, []).append(len(dm.bank[key].net))
+                rec = dm.bank.get(key)
+                sizes.setdefault(key, []).append(len(rec.net) if rec else 0)
         if step % 4 == 0 or not live:
             answer, stats = sweep_query(dm)
             assert dm.query() == answer, step
@@ -527,7 +533,7 @@ def test_a_query_decodes_only_the_entries_changed_since_the_last(monkeypatch):
             if step % 7 == 0:
                 decoded.clear()
                 answer = dm.query()
-                assert sorted(decoded) == sorted(dm._seeds[key] for key in touched & dm._slow.keys())
+                assert sorted(decoded) == sorted(entry_seed(dm, key) for key in touched & dm._slow.keys())
                 assert len(decoded) <= 7 * dm.last_touched
                 total += len(decoded)
                 decoded.clear()
@@ -771,7 +777,7 @@ def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
     dm.query()
     for key, outcome in dm._slow.items():
         assert dm.bank[key].net == {a: 2, b: 1}
-        grid = GridL0Sampler(dm.n_ids, dm.delta, random.Random(dm._seeds[key]))
+        grid = GridL0Sampler(dm.n_ids, dm.delta, random.Random(entry_seed(dm, key)))
         for ident in (a, a, b):
             grid.update(ident, 1)
         assert outcome == grid.query(), key
@@ -779,14 +785,14 @@ def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
 def test_bank_entries_own_no_object(eps):
-    # Entries with at most one id hold one holder per update, or EMPTY_ENTRY;
-    # only an entry with two or more ids owns its value.
+    # Entries with one id hold one holder per update; only an entry with two
+    # or more ids owns its value.
     for n in (1500, 3000):
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode="approx" if eps else "exact", eps=eps)
         for upd in _churn_stream(n, 600, random.Random(n)):
             dm.update(upd)
         assert dm._slow  # these streams end with entries that own their values
-        assert len({id(rec) for rec in dm.bank.values()}) <= dm.updates_applied + len(dm._slow) + 1
+        assert len({id(rec) for rec in dm.bank.values()}) <= dm.updates_applied + len(dm._slow)
         _assert_owners(dm)
 
 
@@ -815,10 +821,12 @@ def test_bank_keys_are_injective(eps, weights):
 
 
 def test_bank_memory_per_entry():
-    # A regression guard on what one bank entry costs in traced bytes, on a
-    # sparse stream whose deletions empty half the entries: about 169 B each
-    # while an entry with at most one id owns no object, about 203 B with a
-    # BankSampler and a key tuple per entry, about 425 B with a dict as well.
+    # A regression guard on what one bank entry costs in traced bytes, per
+    # entry the insertions create, on a sparse stream whose deletions remove
+    # half of them: about 137 B each while an entry with one id owns no object
+    # and an emptied entry is deleted, about 172 B if emptied entries stay,
+    # about 203 B with a BankSampler and a key tuple per entry, about 425 B
+    # with a dict as well.
     rng = random.Random(3)
     n = 2000
     pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(200)})
@@ -828,15 +836,17 @@ def test_bank_memory_per_entry():
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for insert, batch in ((True, pairs), (False, pairs[: len(pairs) // 2])):
-            for u, v in batch:
-                dm.update(EdgeUpdate(u, v, 1 + (u + v) % 3, insert))
+        for u, v in pairs:
+            dm.update(EdgeUpdate(u, v, 1 + (u + v) % 3, True))
+        created = len(dm.bank)
+        for u, v in pairs[: len(pairs) // 2]:
+            dm.update(EdgeUpdate(u, v, 1 + (u + v) % 3, False))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert 3 * sum(1 for rec in dm.bank.values() if not rec.net) >= len(dm.bank)
-    assert grown / len(dm.bank) <= 185
+    assert 3 * (created - len(dm.bank)) >= created
+    assert grown / created <= 150
 
 
 def test_planted_instance_weight_23():

@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 from checks import measure
 
 from streammatch.errors import ParameterError
-from streammatch.trials import TrialConfig, run_trials
+from streammatch.trials import MODELS, TrialConfig, make_matcher, run_trials
 
 
 def test_config_validation():
@@ -15,6 +17,9 @@ def test_config_validation():
         TrialConfig(model="bogus", n=20, k=2, weights=4, m=50)
     with pytest.raises(ParameterError):
         TrialConfig(model="dynamic-approx", n=20, k=2, weights=4, m=50)
+    for model in ("insert-only", "dynamic-aprox"):
+        with pytest.raises(ParameterError, match=re.escape(str(MODELS))):
+            make_matcher(model, 20, 2, random.Random(1), 0.1, 0.5)
 
 
 def test_same_seed_identical_report():
