@@ -59,11 +59,14 @@ sampled pairs ascending, so a key's rank at a vertex, its place from the
 top among distinct pairs, is one bisect; and ``_eligible`` holds,
 ascending, the keys ranked at most 2k-1 at both ends.  One rule keeps it:
 ``_sync`` puts a key in ``_eligible`` exactly when it ranks within 2k-1 at
-both ends, and takes it out otherwise.  When a top key enters or leaves a
-vertex, only the keys below it move there, each by one rank, so the one
-that can cross rank 2k-1 is the key now at rank 2k (an entry) or 2k-1 (a
-departure); a change syncs that key at each end, and an entering key
-itself, with a few bisects.  Class order is reported-weight order in both
+both ends, and takes it out otherwise.  A pair's key moves in one place,
+``_count``, when its top class changes: the old key leaves ``_eligible`` and
+both ends, the new one enters both ends, and ``_sync`` runs on the new key
+and on the keys now at ranks 2k-1 and 2k at each end.  One removal and one
+insertion at a vertex move every other key's rank there by at most one, so
+a key that entered ``_eligible`` now ranks 2k-1 and one that left ranks 2k;
+its other end is unchanged, since only the pair itself holds both u and v.
+Each move costs a few bisects.  Class order is reported-weight order in both
 modes, so the top (2k-2)(2k-1)+1 keys of ``_eligible``, reversed, are
 key-descending, and a query hands the solver those alone, as a list: at
 most that many edges on any shape, stars and hubs included.  The output is
@@ -108,8 +111,6 @@ class EdgeUpdate:
     insert: bool
 
     def __post_init__(self):
-        if not 0 <= self.u < self.v:
-            raise DomainError(f"edge endpoints must satisfy 0 <= u < v, got ({self.u}, {self.v})")
         if self.w < 0:
             raise DomainError(f"edge weight must be nonnegative, got {self.w}")
 
@@ -330,8 +331,8 @@ class DynamicMatcher:
         return values
 
     def _count(self, edge: tuple, delta: int):
-        """Move the count of class wc of the pair (u, v) by delta; re-rank the
-        pair if its top class changes."""
+        """Move the count of class wc of the pair (u, v) by delta, and the
+        pair's key if its top class changes (module docstring)."""
         self._sampled_total += delta
         wc, u, v = edge
         classes = self._sampled.setdefault((u, v), {})
@@ -344,40 +345,29 @@ class DynamicMatcher:
         new = max(classes, default=None)
         if new == top:
             return
+        eligible, by_vertex, cap = self._eligible, self._by_vertex, self._cap
+        old, key = (top, u, v), (new, u, v)
         if top is not None:
-            self._rank_out((top, u, v))
+            i = bisect_left(eligible, old)
+            if i < len(eligible) and eligible[i] == old:
+                del eligible[i]
         if new is None:
             del self._sampled[(u, v)]
-        else:
-            self._rank_in((new, u, v))
-
-    def _rank_in(self, key: tuple):
-        """Add a pair's top key at both ends.  Below it each rank grows by one,
-        so at each end only the key now at rank 2k can leave ``_eligible``."""
-        by_vertex = self._by_vertex
-        for x in key[1:]:
-            insort(by_vertex.setdefault(x, []), key)
-        self._sync(key)
-        for x in key[1:]:
-            keys = by_vertex[x]
-            if len(keys) > self._cap:
-                self._sync(keys[-self._cap - 1])
-
-    def _rank_out(self, key: tuple):
-        """Remove a pair's top key at both ends.  Below it each rank falls by
-        one, so at each end only the key now at rank 2k-1 can join ``_eligible``;
-        that key is another pair's, so its other end is not this key's."""
-        eligible, by_vertex = self._eligible, self._by_vertex
-        i = bisect_left(eligible, key)
-        if i < len(eligible) and eligible[i] == key:
-            del eligible[i]
-        for x in key[1:]:
-            keys = by_vertex[x]
-            del keys[bisect_left(keys, key)]
-            if len(keys) >= self._cap:
-                self._sync(keys[-self._cap])
+        for x in (u, v):
+            keys = by_vertex.setdefault(x, [])
+            if top is not None:
+                del keys[bisect_left(keys, old)]
+            if new is not None:
+                insort(keys, key)
             elif not keys:
                 del by_vertex[x]
+        if new is not None:
+            self._sync(key)
+        for x in (u, v):
+            keys = by_vertex.get(x, [])
+            for i in (len(keys) - cap, len(keys) - cap - 1):  # ranks 2k-1 and 2k
+                if i >= 0:
+                    self._sync(keys[i])
 
     def _sync(self, key: tuple):
         """Put key in ``_eligible`` exactly when it ranks at most 2k-1 at both ends."""

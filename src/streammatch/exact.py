@@ -42,7 +42,7 @@ most (2k-2)(2k-1)+1 edges.
 The bound still ignores vertex conflicts, so the search is exponential
 in k, no longer in the size of the graph: on k-1 hubs with 180 spokes
 each (``tests/checks.py::hub_graph``), one solve of the full edge list
-takes about 0.6 ms at k=4, 9 ms at k=5, 0.26 s at k=6 and 8.4 s at k=7 on
+takes about 0.9 ms at k=4, 13 ms at k=5, 0.48 s at k=6 and 15 s at k=7 on
 a shared 2-vCPU Intel Xeon host under CPython 3.11 (medians of 21, 11 and
 5 solves; one at k=7; the ROADMAP item "An exact-k solver whose time is
 polynomial in k").

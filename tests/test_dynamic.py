@@ -39,6 +39,7 @@ from streammatch.exact import is_valid_matching, kernel_bounds, solve_exact
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.streams import MAX_VERTICES, GraphReplay, gen_planted
+from streammatch.trials import MODELS, make_matcher
 
 
 def test_edge_id_examples():
@@ -146,23 +147,38 @@ def test_first_update_creates_d2_squared_entries():
 
 
 def test_a_refused_update_leaves_the_matcher_as_it_was():
-    # The edge is checked before its weight's class or its vertices' values
-    # are kept, so a refused update changes no state.
+    # Each model checks the edge before it keeps anything (a dynamic matcher,
+    # before its weight's class or its vertices' values), so an edge outside
+    # 0 <= u < v < n is refused with the matcher's text and changes no state.
     n = 16
-    dm = DynamicMatcher(n, 2, random.Random(1))
-    dm.update(EdgeUpdate(1, 2, 7, True))
-    dm.update(EdgeUpdate(2, 3, 5, True))
 
-    def state():
-        bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
-        index = (sampled_keys(dm), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
-        ranks = ({x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
-        return dict(dm.wclasses), dict(dm._values), bank, index, ranks
+    def state(matcher):
+        if isinstance(matcher, DynamicMatcher):
+            dm = matcher
+            bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
+            index = (sampled_keys(dm), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
+            ranks = ({x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
+            return dict(dm.wclasses), dict(dm._values), bank, index, ranks
+        windows = matcher.copies[0].windows
+        return list(windows.prev), list(windows.cur), [
+            (copy.task, copy.task.done, copy.task.workspace, copy.reduced_prev, copy.max_update_ops,
+             copy.max_stored_edges) for copy in matcher.copies]
 
-    before = state()
-    with pytest.raises(DomainError):
-        dm.update(EdgeUpdate(0, n, 9, True))  # vertex 0 and weight 9 are new
-    assert state() == before
+    for model in MODELS:
+        eps = Fraction(1, 2) if model == "dynamic-approx" else None
+        matcher = make_matcher(model, n, 2, random.Random(1), eps, 0.5)
+        matcher.update(EdgeUpdate(1, 2, 7, True))
+        matcher.update(EdgeUpdate(2, 3, 5, True))
+        before = state(matcher)
+        for u, v in ((1, 1), (2, 1), (0, n)):  # vertex 0 and weight 9 are new
+            with pytest.raises(DomainError, match=r"need 0 <= u < v < n"):
+                matcher.update(EdgeUpdate(u, v, 9, True))
+            assert state(matcher) == before, (model, u, v)
+
+
+def test_a_negative_weight_is_refused():
+    with pytest.raises(DomainError, match="nonnegative"):
+        EdgeUpdate(0, 1, -1, True)
 
 
 def test_insert_then_delete_restores_state():
@@ -728,37 +744,48 @@ def _hub_churn(n: int, length: int, rng: random.Random):
 # 2k-1 and of slow entries seen (seen: 24 and 935 at k=1, 34 and 780 at k=2,
 # 61 and 90 at k=3).
 _CHURN_FLOORS = {1: (20, 500), 2: (20, 100), 3: (40, 50)}
+# At every k and eps, the least counts of updates that replace a live pair's
+# top class with another class, and of those that also move another pair into
+# or out of ``_eligible`` (seen: 48, and 6 to 8).
+_SWAP_FLOORS = (40, 5)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
 def test_the_rank_index_follows_churn_with_parallel_copies(eps, k, monkeypatch):
-    # After every update the rank index is the brute force's; at every
-    # checkpoint the query and its stats are the sweep's, the solver is handed
-    # the top (2k-2)(2k-1)+1 eligible keys, and at every fifth the whole index
-    # is checked.  The churn holds parallel copies, deletions
-    # that raise another pair within rank 2k-1 (k=1: the cap is one pair), and
-    # slow entries that the queries decode.
+    # After every update and every checkpoint query the rank index is the
+    # brute force's; at every checkpoint the query and its stats are the
+    # sweep's, the solver is handed the top (2k-2)(2k-1)+1 eligible keys, and
+    # at every fifth the whole index is checked.  The churn holds parallel
+    # copies, deletions that raise another pair within rank 2k-1 (k=1: the cap
+    # is one pair), class swaps, some of which move another pair across rank
+    # 2k-1, and slow entries that the queries decode.
     n = 600
     dm = DynamicMatcher(n, k, random.Random(9), mode="approx" if eps else "exact", eps=eps)
-    parallel = raised = slow = checks = 0
+    parallel = raised = slow = checks = swaps = swaps_moving = 0
     for step, upd in enumerate(_hub_churn(n, 700, random.Random(10)), 1):
         before = set(dm._eligible)
+        tops = {pair: max(classes) for pair, classes in dm._sampled.items()}
         dm.update(upd)
         _assert_ranks(dm)
         if not upd.insert:
             raised += any(key[1:] != (upd.u, upd.v) for key in set(dm._eligible) - before)
         parallel += any(len(classes) > 1 for classes in dm._sampled.values())
+        swapped = {pair for pair, classes in dm._sampled.items() if tops.get(pair, max(classes)) != max(classes)}
+        swaps += bool(swapped)
+        swaps_moving += bool(swapped) and bool({key[1:] for key in set(dm._eligible) ^ before} - swapped)
         if step % 10 == 0:
             answer, stats = sweep_query(dm)
             assert _solver_reads(monkeypatch, dm) == (answer, _kernel(dm)), step
             assert dm.last_query_stats == stats, step
+            _assert_ranks(dm)  # decoded outcomes move keys too
             if step % 50 == 0:
                 _assert_index(dm)
             slow += len(dm._slow)
             checks += 1
     least_raised, least_slow = _CHURN_FLOORS[k]
     assert checks >= 60 and parallel >= 100 and raised >= least_raised and slow >= least_slow
+    assert swaps >= _SWAP_FLOORS[0] and swaps_moving >= _SWAP_FLOORS[1]
 
 
 def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
