@@ -98,7 +98,7 @@ from .exact import Matching, kernel_bounds, solve_exact
 from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled, levels_for, repetitions_for
 from .partition import HashScheme, build_scheme, key_indices
 from .seeds import derive_seed
-from .streams import check_size
+from .streams import check_edge, check_size
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ class EdgeUpdate:
 
 def edge_id(u: int, v: int, n: int) -> int:
     """Canonical triangular encoding v(v-1)/2 + u of the pair u < v < n."""
-    if not 0 <= u < v < n:
-        raise DomainError(f"need 0 <= u < v < n, got u={u}, v={v}, n={n}")
+    check_edge(u, v, n)
     return v * (v - 1) // 2 + u
 
 
@@ -143,6 +142,12 @@ def _as_fraction(x) -> Fraction:
         raise ParameterError(f"need a finite number, got {x}") from None
 
 
+def _check_eps_beside_one(eps: Fraction):
+    """Refuse an eps > 0 so small that the float 1 + eps is 1.0."""
+    if float(1 + eps) == 1.0:
+        raise ParameterError(f"eps {float(eps)} is too small: 1 + eps rounds to 1.0")
+
+
 # Largest |class index| accepted.  The exact correction in ``weight_class``
 # costs time like |i|, and |i| is about ln(w)/eps: unbounded as eps shrinks.
 WEIGHT_CLASS_CAP = 1 << 14
@@ -162,8 +167,7 @@ def weight_class(w, eps) -> int:
     base = 1 + _as_fraction(eps)
     if base <= 1:
         raise ParameterError(f"eps must be positive, got {eps}")
-    if math.log(base) == 0.0:
-        raise ParameterError(f"eps {eps} is too small: 1 + eps rounds to 1.0")
+    _check_eps_beside_one(base - 1)
     # A float estimate, corrected exactly below.  log1p keeps the digits of a small eps,
     # and of w near 1; elsewhere math.log takes big ints, since float(wf) may overflow.
     num, den = wf.numerator, wf.denominator
@@ -223,8 +227,7 @@ class DynamicMatcher:
             eps = _as_fraction(eps)
             if not 0 < eps < 1:
                 raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-            if float(1 + eps) == 1.0:
-                raise ParameterError(f"eps {float(eps)} is too small: 1 + eps rounds to 1.0")
+            _check_eps_beside_one(eps)
         self.n = n
         self.k = k
         self.eps = eps if mode == "approx" else None

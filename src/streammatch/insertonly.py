@@ -55,13 +55,14 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .errors import DomainError, ModelError
+from .errors import ModelError
 from .exact import Edge, Matching, solve_exact
 from .field_hash import UniversalHash, universal_draw
 from .l0sampler import repetitions_for
-from .streams import check_size
+from .streams import check_edge, check_size
 
 PartFn = Callable[[int], int]
 
@@ -92,11 +93,12 @@ class ReduceTask:
 
     The input is ``head`` (the previous reduced subgraph) with
     ``head_pairs``, the part pair of each head edge, followed by ``tail``
-    (a raw window).  Only tail endpoints are hashed, once each; a head
-    edge's pair is read from ``head_pairs``, and the heap carries each
-    compact edge's pair to the rank filter, so the drain hashes nothing.
-    The task ends with ``result``, the reduced edges, and ``pairs``,
-    where ``pairs[i]`` is the part pair of ``result[i]``.
+    (a raw window).  One scan walks head then tail, reading a head edge's
+    pair from ``head_pairs`` and hashing a tail edge's endpoints, once
+    each, and keeps the heaviest edge of each inter-part pair.  The heap
+    carries each compact edge's pair to the rank filter, so the drain
+    hashes nothing.  The task ends with ``result``, the reduced edges,
+    and ``pairs``, where ``pairs[i]`` is the part pair of ``result[i]``.
 
     ``step(budget)`` is one resume of one loop over the charged items: it
     takes items while the charge spent in this step is below ``budget``,
@@ -133,26 +135,16 @@ class ReduceTask:
         budget = yield
         spent = 0
 
-        for e, pair in zip(head, head_pairs, strict=True):
-            if spent >= budget:
-                self.workspace = len(best)
-                budget = yield spent
-                spent = 0
-            if pair[0] != pair[1]:
-                cur = best.get(pair)
-                if cur is None or (e[2], e[0], e[1]) > (cur[2], cur[0], cur[1]):
-                    best[pair] = e
-            spent += 3
-        for e in tail:
+        for e, pair in chain(zip(head, head_pairs, strict=True), zip(tail, repeat(None))):
             if spent >= budget:
                 self.workspace = len(best)
                 budget = yield spent
                 spent = 0
             u, v, w = e
-            pu = part_of(u)
-            pv = part_of(v)
-            if pu != pv:
+            if pair is None:  # a tail edge: hash its endpoints
+                pu, pv = part_of(u), part_of(v)
                 pair = (pu, pv) if pu < pv else (pv, pu)
+            if pair[0] != pair[1]:
                 cur = best.get(pair)
                 if cur is None or (w, u, v) > (cur[2], cur[0], cur[1]):
                     best[pair] = e
@@ -242,10 +234,8 @@ def insert_preprocess(n: int, k: int, delta: float, rng: random.Random) -> list[
 
 
 def insert_update(copies: Sequence[CopyState], edge: Edge):
-    u, v, w = edge
     windows = copies[0].windows
-    if not 0 <= u < v < windows.n:
-        raise DomainError(f"need 0 <= u < v < n, got u={u}, v={v}, n={windows.n}")
+    check_edge(edge[0], edge[1], windows.n)
     cur = windows.cur
     cur.append(edge)
     q = windows.q

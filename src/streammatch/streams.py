@@ -1,7 +1,7 @@
 """Stream file format, well-formedness replay, and planted-instance generation.
 
-Grammar (one record per line, lines end at \\n, \\r\\n or \\r, ``#`` starts a
-comment):
+Grammar (one record per line, lines end at \\n, \\r\\n or \\r; a line is a
+comment only when its first non-blank character is ``#``):
 
     H <n> <k> <precision>     header: vertex count, parameter, weight decimals
     I <u> <v> <w>             insert edge uv with weight w
@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ModelError, ParameterError, StreamFormatError
+from .errors import DomainError, ModelError, ParameterError, StreamFormatError
 from .seeds import spawn_rng
 
 _WEIGHT_RE = re.compile(r"\d+(\.\d+)?", re.ASCII)
@@ -46,6 +46,12 @@ def check_size(n: int, k: int):
         raise ParameterError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     if n > MAX_VERTICES:
         raise ParameterError(f"n={n} is above the cap of 2^41 vertices")
+
+
+def check_edge(u: int, v: int, n: int):
+    """Refuse an endpoint pair outside 0 <= u < v < n."""
+    if not 0 <= u < v < n:
+        raise DomainError(f"need 0 <= u < v < n, got u={u}, v={v}, n={n}")
 
 
 Record = tuple  # ("I", u, v, w) | ("D", u, v, w) | ("Q",)

@@ -188,11 +188,7 @@ _LEADING_ZEROS = [f"H 10 1 0\nI {'0' * 700}1 2 5\nQ\n", f"H {'0' * 700}10 1 0\nI
 _LEADING_ZEROS_IDS = ["u-of-701-digits", "n-of-702-digits", "weight-of-1002-digits"]
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("text, message", _REFUSED_NUMBERS, ids=_REFUSED_IDS)
-def test_a_refused_number_names_its_line(tmp_path, capsys, command, text, message):
-    # int() or a Unicode \d takes each of these numbers but the two of 5000 digits;
-    # the id of 700 digits is refused for its length, not found outside [0, 10).
+def _assert_refused(tmp_path, capsys, command, text, message):
     path = tmp_path / "stream.txt"
     path.write_text(text, encoding="utf-8")
     options = ["--model", "dynamic", "--seed", "1"] if command == "run" else []
@@ -200,6 +196,24 @@ def test_a_refused_number_names_its_line(tmp_path, capsys, command, text, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text, message", _REFUSED_NUMBERS, ids=_REFUSED_IDS)
+def test_a_refused_number_names_its_line(tmp_path, capsys, command, text, message):
+    # int() or a Unicode \d takes each of these numbers but the two of 5000 digits;
+    # the id of 700 digits is refused for its length, not found outside [0, 10).
+    _assert_refused(tmp_path, capsys, command, text, message)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("H 4 1 0\nI 0 1 5 # note\nQ\n", "line 2: I record needs: I <u> <v> <w>"),
+    ("H 4 1 0\nI 0 1 5\nQ #q\n", "line 3: query record takes no fields"),
+], ids=["after-an-edge", "after-a-query"])
+def test_a_hash_after_a_record_starts_no_comment(tmp_path, capsys, command, text, message):
+    # Only a line whose first non-blank character is # is a comment.
+    _assert_refused(tmp_path, capsys, command, text, message)
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])

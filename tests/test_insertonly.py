@@ -192,14 +192,40 @@ def _oracle_inputs():
     return cases
 
 
+def _head_tail_contests(head, tail, part_of):
+    """(replaced, held): tail edges that take their part pair's best edge from
+    a head edge, and tail edges that lose to the head edge holding their pair."""
+    best = {}  # inter-part pair -> (key, whether a head edge holds it)
+    replaced = held = 0
+    for from_head, edges in ((True, head), (False, tail)):
+        for u, v, w in edges:
+            pair = _pair_key(part_of(u), part_of(v))
+            if pair[0] == pair[1]:
+                continue
+            cur = best.get(pair)
+            if cur is not None and cur[1] and not from_head:
+                replaced += (w, u, v) > cur[0]
+                held += (w, u, v) < cur[0]
+            if cur is None or (w, u, v) > cur[0]:
+                best[pair] = ((w, u, v), from_head)
+    return replaced, held
+
+
 def test_task_steps_like_reference():
     # Every step's (spent, done, workspace) and the result equal the
     # per-item reference's, at every budget from 1 to twice the real one,
-    # and pairs[i] is the part pair of result[i].
+    # and pairs[i] is the part pair of result[i].  The corpus holds
+    # intra-part edges in each input, and part pairs that both inputs share:
+    # tail edges that replace a head edge and tail edges a head edge outweighs
+    # (95 and 114 of them).
     intra = {"head": 0, "tail": 0}
+    replaced = held = 0
     for k, part_of, head, tail in _oracle_inputs():
         for name, edges in (("head", head), ("tail", tail)):
             intra[name] += sum(1 for u, v, _w in edges if part_of(u) == part_of(v))
+        contests = _head_tail_contests(head, tail, part_of)
+        replaced += contests[0]
+        held += contests[1]
         for budget in range(1, 2 * task_budget(k) + 1):
             task = ReduceTask(head, _pairs_of(head, part_of), tail, part_of, k)
             got = _step_trace(task, budget)
@@ -207,6 +233,7 @@ def test_task_steps_like_reference():
             assert got == want, (k, len(head), len(tail), budget)
             assert task.pairs == _pairs_of(task.result, part_of)
     assert intra["head"] > 0 and intra["tail"] > 0
+    assert replaced >= 80 and held >= 90
 
 
 def test_copy_hashes_each_raw_edge_once(monkeypatch):

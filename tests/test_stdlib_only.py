@@ -1,13 +1,15 @@
 """The package stays stdlib-only: every absolute import in
 ``src/streammatch`` names a module of the standard library.  Importing
-one pipeline loads none of the other's modules."""
+one pipeline loads none of the other's modules.  The package and its
+tests parse as the oldest Python that ``pyproject.toml`` admits."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streammatch"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "streammatch"
 
 
 def _absolute_imports(path: Path):
@@ -41,3 +43,10 @@ def test_the_insert_only_pipeline_loads_no_dynamic_module():
     assert "streammatch.insertonly" in loaded
     for name in ("streammatch.dynamic", "streammatch.partition", "streammatch.trials"):
         assert name not in loaded
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # feature_version refuses syntax newer than 3.10, such as except* (3.11).
+    assert 'requires-python = ">=3.10"' in (TESTS.parent / "pyproject.toml").read_text()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
