@@ -7,8 +7,10 @@ family_size^2 samplers: one l0-sampler per pair (i, j) drawn from the value sets
 of u and v, keyed additionally by the edge's weight class.  Samplers are
 created lazily on first touch.  A query takes the edge each bank entry
 samples, deduplicates them and extracts an exact maximum-weight
-k-matching from them; since every sampled edge is a real (inserted, not
-deleted) edge, the answer is one-sided: a k-matching is never fabricated.
+k-matching from them.  ``update`` refuses an insertion of a live (u, v,
+class) and a deletion of a dead one, so for every update it accepts each
+sampled edge is live in the multiset of live (u, v, class), and the answer
+is one-sided: a k-matching is never fabricated.
 
 Exact mode (``eps`` None) keys samplers by the exact (scaled integer)
 weight.  Approx mode (``eps`` a Fraction) keys by the class index i of w,
@@ -21,27 +23,27 @@ A bank entry is keyed by one int, (slot*R + i)*R + j, for R = range_size
 and the slot of the weight class, numbered in order of first appearance;
 every vertex value is below R, so the key is injective, and ``query``
 reads an entry's class back from its slot, key // R^2.  An entry's value
-is its net update vector (id -> net count); its seed, derived per key so
+is the set of its live edge ids, its net update vector (every count is 1,
+as each (edge, class) is live at most once); its seed, derived per key so
 that it does not depend on creation order, is kept once, in ``_seeds``.  A
-decode hands that seed straight to an ``L0Sampler``, gives it the net
-vector and drops it afterwards; the sampler is linear and draws its cells
+decode hands that seed straight to an ``L0Sampler``, gives it a count of 1
+per id and drops it afterwards; the sampler is linear and draws its cells
 from the seed as it reads them, so the outcome is the one a sampler updated
 from the start gives.  The abstract space accounting still charges the full
 sketch.
 
-An entry exists only while its net vector is nonzero: an update that
-empties it deletes its key from ``bank`` and ``_seeds``, and one that
-touches it again creates it anew with the same seed, derived from its key.
-Bank values follow one rule, so that most entries own no object at all.  A
-value with one id may be shared, so it is replaced, never changed: every
-entry one update creates or moves from {id: c} to {id: c'} holds that
-update's one value (every entry of one edge and class holds the same count
-of its id).  A value with two or more ids belongs to one entry and is
-changed in place.
+An entry exists only while its set is nonempty: an update that empties it
+deletes its key from ``bank`` and ``_seeds``, and one that touches it
+again creates it anew with the same seed, derived from its key.  Every
+update of an (edge, class) touches the same entries, so each of them holds
+the id exactly while it is live, and ``update`` reads one to refuse an
+ill-formed update.  Bank values follow one rule, so that most entries own
+no object at all.  A value with one id may be shared by the entries one
+update creates, so it is replaced, never changed; a value with two or more
+ids belongs to one entry and is changed in place.
 
-An entry's outcome is fixed by its seed and net vector, so the matcher
-keeps one index of the sampled edges instead of sweeping the bank at each
-query: ``_sampled`` maps each pair (u, v) to {class: the entries whose
+An entry's outcome is fixed by its seed and set, so the matcher keeps
+one index of the sampled edges instead of sweeping the bank at each query: ``_sampled`` maps each pair (u, v) to {class: the entries whose
 outcome is that edge in that class}.  An entry holding exactly {id} counts
 at once; a slow entry, with two or more ids, through its last decoded
 outcome, kept in ``_slow`` (``EMPTY``, which counts toward nothing, until
@@ -93,7 +95,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ModelError, ParameterError
 from .exact import Matching, kernel_bounds, solve_exact
 from .l0sampler import EMPTY, FAIL, L0Sampler, Sampled, levels_for, repetitions_for
 from .partition import HashScheme, build_scheme, key_indices
@@ -190,20 +192,20 @@ def class_representative(i: int, eps) -> Fraction:
 
 
 class BankSampler:
-    """A bank value: an exact net update vector (id -> net count), never
-    empty.  With one id it may be shared and is replaced, never changed; with
-    two or more ids it belongs to one entry.  A decode takes the entry's seed
-    from ``DynamicMatcher._seeds``."""
+    """A bank value: the nonempty set of an entry's live edge ids, each a
+    net count of 1.  With one id it may be shared and is replaced, never
+    changed; with two or more ids it belongs to one entry.  A decode takes
+    the entry's seed from ``DynamicMatcher._seeds``."""
 
     __slots__ = ("net",)
 
-    def __init__(self, net: dict[int, int]):
+    def __init__(self, net: set[int]):
         self.net = net
 
     def _materialize(self, seed: int, n_ids: int, delta: float) -> L0Sampler:
         sketch = L0Sampler(n_ids, delta, seed)
-        for ident, count in self.net.items():
-            sketch.update(ident, count)
+        for ident in self.net:
+            sketch.update(ident, 1)
         return sketch
 
 
@@ -258,6 +260,8 @@ class DynamicMatcher:
         self._dirty: set[int] = set()  # slow keys touched since their last decode
 
     def update(self, upd: EdgeUpdate):
+        """Apply one update.  An insertion of a live (u, v, class) or a deletion of a
+        dead one is a ``ModelError``; it changes no state but the weight and vertex memos."""
         ident = edge_id(upd.u, upd.v, self.n)  # first: a refused edge changes no state
         slot = self._slots.get(upd.w)
         if slot is None:
@@ -265,14 +269,17 @@ class DynamicMatcher:
         wc = self._slot_class[slot]
         values_u = self._values.get(upd.u) or self._vertex_values(upd.u)
         values_v = self._values.get(upd.v) or self._vertex_values(upd.v)
-        count = 1 if upd.insert else -1
-        fresh = BankSampler({ident: count})  # held by every entry this update creates
-        moved = None  # held by every entry this update moves from {ident: c} to {ident: c + count}
         bank = self.bank
         slow = self._slow
         dirty = self._dirty
         r = self._range_size
         base = slot * r
+        # Every entry of this edge and class holds ident exactly while it is live.
+        first = bank.get((base + values_u[0]) * r + values_v[0])
+        if (first is not None and ident in first.net) == upd.insert:
+            what = "duplicate insertion of live" if upd.insert else "deletion of dead"
+            raise ModelError(f"{what} edge ({upd.u}, {upd.v}) in weight class {wc}")
+        fresh = BankSampler({ident})  # held by every entry this update creates
         gained = 0  # change in the number of entries that are exactly {ident}
         for i in values_u:
             row = (base + i) * r
@@ -285,32 +292,26 @@ class DynamicMatcher:
                     gained += 1
                     continue
                 net = rec.net
-                if len(net) >= 2:  # the entry's own vector: changed in place
-                    c = net.get(ident, 0) + count
-                    if c:
-                        net[ident] = c
+                if len(net) >= 2:  # the entry's own set: changed in place
+                    if upd.insert:
+                        net.add(ident)
                     else:
-                        del net[ident]
+                        net.remove(ident)
                     if len(net) >= 2:
                         dirty.add(key)  # changed, so decoded again at the next query
                     else:  # 2 -> 1: the counted outcome goes, and the other id counts as a single
                         self._tally(wc, slow.pop(key), -1)
                         dirty.discard(key)
                         self._count((wc, *edge_from_id(next(iter(net)))), 1)
-                else:  # one id, maybe shared: replaced, never changed
-                    ((other, c),) = net.items()
-                    if other != ident:  # 1 -> 2
-                        bank[key] = BankSampler({other: c, ident: count})
-                        self._count((wc, *edge_from_id(other)), -1)
-                        slow[key] = EMPTY
-                        dirty.add(key)
-                    elif c + count:  # 1 -> 1; every entry of this edge and class holds c
-                        if moved is None:
-                            moved = BankSampler({ident: c + count})
-                        bank[key] = moved
-                    else:  # 1 -> 0: the entry goes
-                        del bank[key], self._seeds[key]
-                        gained -= 1
+                elif upd.insert:  # 1 -> 2; a one-id set may be shared, so it is replaced
+                    (other,) = net
+                    bank[key] = BankSampler({other, ident})
+                    self._count((wc, *edge_from_id(other)), -1)
+                    slow[key] = EMPTY
+                    dirty.add(key)
+                else:  # 1 -> 0: the entry goes
+                    del bank[key], self._seeds[key]
+                    gained -= 1
         if gained:
             self._count((wc, upd.u, upd.v), gained)
         self.updates_applied += 1

@@ -104,10 +104,6 @@ def _checked_key(edge: Edge):
     return (w, u, v)
 
 
-def _sorted_desc(edges: Iterable[Edge]) -> list[Edge]:
-    return sorted(edges, key=_checked_key, reverse=True)
-
-
 def kernel_bounds(k: int) -> tuple[int, int]:
     """The kernel's caps: rank 2k-1 at both ends (rule 2), (2k-2)(2k-1)+1 edges (rule 3)."""
     return 2 * k - 1, (2 * k - 2) * (2 * k - 1) + 1
@@ -131,7 +127,7 @@ def solve_exact(edges: Iterable[Edge], k: int) -> Matching | None:
     prefix = [0]
     seen: set[tuple[int, int]] = set()
     rank: dict[int, int] = {}
-    for e in _sorted_desc(edges):
+    for e in sorted(edges, key=_checked_key, reverse=True):
         u, v, w = e
         if (u, v) in seen:
             continue

@@ -19,7 +19,7 @@ from streammatch.dynamic import (
     edge_from_id,
 )
 from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import Edge, Matching, _sorted_desc, solve_exact
+from streammatch.exact import Edge, Matching, solve_exact
 from streammatch.field_hash import KWiseHash, next_prime
 from streammatch.gf2 import gf_mul
 from streammatch.insertonly import PartFn, _heap_charge, task_budget, window_length
@@ -488,7 +488,7 @@ def enumerate_oracle(edges: Sequence[Edge], k: int) -> Matching | None:
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    es = _sorted_desc(edges)
+    es = sorted(edges, key=edge_key, reverse=True)
     best = None
     best_w = None
     for combo in itertools.combinations(es, k):
@@ -543,7 +543,7 @@ def max_nice_matching(edges: Sequence[Edge], part_of: Callable[[int], int], k: i
     """Exhaustive maximum over k-matchings whose 2k endpoints occupy 2k distinct parts."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    es = _sorted_desc(edges)
+    es = sorted(edges, key=edge_key, reverse=True)
     best = None
     best_w = None
     for combo in itertools.combinations(es, k):

@@ -34,8 +34,8 @@ from streammatch.dynamic import (
     edge_id,
     weight_class,
 )
-from streammatch.errors import DomainError, ParameterError
-from streammatch.exact import is_valid_matching, kernel_bounds, solve_exact
+from streammatch.errors import DomainError, ModelError, ParameterError
+from streammatch.exact import Matching, is_valid_matching, kernel_bounds, solve_exact
 from streammatch.l0sampler import EMPTY, FAIL, L0Sampler, Sampled
 from streammatch.partition import key_indices
 from streammatch.streams import MAX_VERTICES, GraphReplay, gen_planted
@@ -154,11 +154,7 @@ def test_a_refused_update_leaves_the_matcher_as_it_was():
 
     def state(matcher):
         if isinstance(matcher, DynamicMatcher):
-            dm = matcher
-            bank = {key: dict(rec.net) for key, rec in dm.bank.items()}
-            index = (sampled_keys(dm), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
-            ranks = ({x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
-            return dict(dm.wclasses), dict(dm._values), bank, index, ranks
+            return dict(matcher.wclasses), dict(matcher._values), _bank_state(matcher)
         windows = matcher.copies[0].windows
         return list(windows.prev), list(windows.cur), [
             (copy.task, copy.task.done, copy.task.workspace, copy.reduced_prev, copy.max_update_ops,
@@ -174,6 +170,67 @@ def test_a_refused_update_leaves_the_matcher_as_it_was():
             with pytest.raises(DomainError, match=r"need 0 <= u < v < n"):
                 matcher.update(EdgeUpdate(u, v, 9, True))
             assert state(matcher) == before, (model, u, v)
+
+
+def _bank_state(dm):
+    """The bank, the seeds, the index and the ranks of dm, as copies.  The bank
+    is copied as the value each key holds and the ids of each value, since
+    the entries of one update share their one-id value."""
+    bank = (dict(dm.bank), {rec: set(rec.net) for rec in set(dm.bank.values())}, dict(dm._seeds))
+    index = (sampled_keys(dm), dm._sampled_total, dm._failed_total, dict(dm._slow), set(dm._dirty))
+    ranks = ({x: list(keys) for x, keys in dm._by_vertex.items()}, list(dm._eligible))
+    return bank, index, ranks
+
+
+def _assert_refused(dm, upd, match=r"(duplicate insertion of live|deletion of dead) edge"):
+    """upd raises ModelError and leaves dm's bank, seeds, index and ranks as they were."""
+    before = _bank_state(dm)
+    with pytest.raises(ModelError, match=match):
+        dm.update(upd)
+    assert _bank_state(dm) == before, upd
+
+
+@pytest.mark.parametrize("updates, refusal, live", [
+    ([EdgeUpdate(0, 1, 5, False)], r"deletion of dead edge \(0, 1\) in weight class 5", None),
+    ([EdgeUpdate(0, 1, 5, True), EdgeUpdate(0, 1, 7, False)],
+     r"deletion of dead edge \(0, 1\) in weight class 7", (0, 1, 5)),
+    ([EdgeUpdate(0, 1, 5, True), EdgeUpdate(0, 1, 5, True)],
+     r"duplicate insertion of live edge \(0, 1\) in weight class 5", (0, 1, 5)),
+], ids=["delete-first", "delete-another-weight", "insert-twice"])
+def test_an_ill_formed_update_is_refused(updates, refusal, live):
+    # Each (edge, class) is live at most once.  Taken, the first two would
+    # leave the bank holding an edge that is not live: (0, 1, 5) on an empty
+    # graph, and (0, 1, 7), never inserted.
+    dm = DynamicMatcher(10, 1, random.Random(1))
+    *taken, bad = updates
+    for upd in taken:
+        dm.update(upd)
+    _assert_refused(dm, bad, refusal)
+    assert dm.query() == (Matching((live,)) if live else None)
+    _assert_index(dm)
+
+
+def test_approx_mode_refuses_by_weight_class():
+    # At eps = 1/2, weights 4 and 5 share class 4 and weight 2 is in class 2.
+    # A second copy of (0, 1) in a live copy's class is refused, whatever its
+    # weight; a deletion naming the other weight of that class removes the
+    # copy; a copy in another class is a parallel copy.
+    eps = Fraction(1, 2)
+    assert weight_class(4, eps) == weight_class(5, eps) == 4 and weight_class(2, eps) == 2
+    dm = DynamicMatcher(10, 1, random.Random(1), mode="approx", eps=eps)
+    dm.update(EdgeUpdate(0, 1, 4, True))
+    for w in (4, 5):
+        _assert_refused(dm, EdgeUpdate(0, 1, w, True), r"duplicate insertion of live edge \(0, 1\) in weight class 4")
+    dm.update(EdgeUpdate(0, 1, 2, True))
+    assert dm._sampled == {(0, 1): {4: dm.last_touched, 2: dm.last_touched}}
+    assert dm.query() == Matching(((0, 1, class_representative(4, eps)),))
+    dm.update(EdgeUpdate(0, 1, 5, False))
+    assert dm._sampled == {(0, 1): {2: dm.last_touched}}
+    assert dm.query() == Matching(((0, 1, class_representative(2, eps)),))
+    _assert_refused(dm, EdgeUpdate(0, 1, 4, False), r"deletion of dead edge \(0, 1\) in weight class 4")
+    dm.update(EdgeUpdate(0, 1, 2, False))
+    assert not dm.bank and dm.query() is None
+    _assert_index(dm)
 
 
 def test_a_negative_weight_is_refused():
@@ -231,22 +288,21 @@ def test_full_construction_decodes_zero_and_one_sparse_vectors_exactly():
     # DynamicMatcher.query reads an entry with at most one id off its index
     # without decoding it; these are the outcomes the full construction, live
     # from the start, gives there.  The sketch an entry builds from its seed
-    # and net vector must decode alike.
+    # and set of live ids must decode alike.
     rng = random.Random(99)
     n_ids = 120
     for trial in range(200):
         seed = rng.getrandbits(63)
         full = GridL0Sampler(n_ids, 0.05, random.Random(seed))
-        rec = BankSampler({})
+        rec = BankSampler(set())
         for _ in range(rng.randint(0, 3)):
             ident = rng.randrange(n_ids)
-            count = rng.choice((1, -1))
-            full.update(ident, count)
-            c = rec.net.get(ident, 0) + count
-            if c:
-                rec.net[ident] = c
+            if ident in rec.net:  # a deletion of a live id
+                full.update(ident, -1)
+                rec.net.remove(ident)
             else:
-                del rec.net[ident]
+                full.update(ident, 1)
+                rec.net.add(ident)
         outcome = full.query()
         assert rec._materialize(seed, n_ids, 0.05).query() == outcome
         if not rec.net:
@@ -302,47 +358,61 @@ def _assert_owners(dm):
 
 
 def _assert_nets(dm, updates):
-    # Each entry's net vector is the sum of the updates that touched it, so a
-    # shared vector changed in place, which reaches every entry holding it,
-    # fails; a key whose updates sum to zero holds no entry.
+    # Each entry's set is the ids of the live edges whose updates touched it,
+    # so a shared set changed in place, which reaches every entry holding it,
+    # fails; a key whose set empties holds no entry.
     nets: dict = {}
     for upd in updates:
         wc = weight_class(upd.w, dm.eps) if dm.eps is not None else upd.w
         ident = edge_id(upd.u, upd.v, dm.n)
         for i in key_indices(upd.u, dm.scheme):
             for j in key_indices(upd.v, dm.scheme):
-                net = nets.setdefault(bank_key(dm, i, j, wc), {})
-                c = net.get(ident, 0) + (1 if upd.insert else -1)
-                if c:
-                    net[ident] = c
+                net = nets.setdefault(bank_key(dm, i, j, wc), set())
+                if upd.insert:
+                    net.add(ident)
                 else:
-                    del net[ident]
+                    net.remove(ident)
     assert {key: rec.net for key, rec in dm.bank.items()} == {key: net for key, net in nets.items() if net}
 
 
 def _churn_stream(n: int, length: int, rng: random.Random):
-    """Inserts and deletions of weight 1 or 2 over n vertices; about 5% of
-    the updates are ill-formed (a duplicate insertion of a live edge or a
-    deletion of a dead one), which DynamicMatcher accepts."""
+    """Inserts and deletions of weight 1 or 2 over n vertices, each with
+    whether it is well-formed; about 5% are not (a duplicate insertion of a
+    live edge or a deletion of a dead one), and DynamicMatcher refuses those."""
     live: dict[tuple[int, int], int] = {}
     for _ in range(length):
         r = rng.random()
         if r < 0.025 and live:
             (u, v), w = rng.choice(sorted(live.items()))
-            yield EdgeUpdate(u, v, w, True)
+            yield EdgeUpdate(u, v, w, True), False
         elif r < 0.05:
             u, v = sorted(rng.sample(range(n), 2))
             if (u, v) not in live:
-                yield EdgeUpdate(u, v, rng.choice((1, 2)), False)
+                yield EdgeUpdate(u, v, rng.choice((1, 2)), False), False
         elif r < 0.25 and live:
             (u, v), w = rng.choice(sorted(live.items()))
             del live[(u, v)]
-            yield EdgeUpdate(u, v, w, False)
+            yield EdgeUpdate(u, v, w, False), True
         else:
             u, v = sorted(rng.sample(range(n), 2))
             if (u, v) not in live:
                 live[(u, v)] = rng.choice((1, 2))
-                yield EdgeUpdate(u, v, live[(u, v)], True)
+                yield EdgeUpdate(u, v, live[(u, v)], True), True
+
+
+def _churn(dm, length: int, seed: int):
+    """Apply ``_churn_stream(dm.n, length, Random(seed))`` to dm, yielding each
+    update and whether dm took it; each ill-formed update must be refused and
+    leave dm as it was."""
+    refused = 0
+    for upd, well_formed in _churn_stream(dm.n, length, random.Random(seed)):
+        if well_formed:
+            dm.update(upd)
+        else:
+            _assert_refused(dm, upd)
+            refused += 1
+        yield upd, well_formed
+    assert refused >= 10
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
@@ -354,9 +424,10 @@ def test_indexed_query_matches_full_sweep(mode):
     for n in (700, 1500, 3000):
         decoded = 0
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode=mode, eps=eps)
-        updates = list(_churn_stream(n, 600, random.Random(n)))
-        for step, upd in enumerate(updates, 1):
-            dm.update(upd)
+        updates = []
+        for step, (upd, taken) in enumerate(_churn(dm, 600, n), 1):
+            if taken:
+                updates.append(upd)
             if step % 25 == 0:
                 answer, stats = sweep_query(dm)
                 assert dm.query() == answer, (n, step)
@@ -384,7 +455,6 @@ def test_index_follows_entries_across_two_ids():
         [(1, True)],  # 1 -> 2; this query decodes the shared entries
         [(1, False)],  # decoded 2 -> 1: answered from the index, (0, x)
         [(x, False)],  # 1 -> 0
-        [(x, False)],  # ill-formed: a dead edge, net count -1
     ]
     decoded = 0
     for batch in batches:
@@ -396,19 +466,21 @@ def test_index_follows_entries_across_two_ids():
         _assert_index(dm)
         decoded += len(dm._slow)
     assert decoded >= 1
+    _assert_refused(dm, EdgeUpdate(0, x, 3, False), r"deletion of dead edge")  # (0, x) is no longer live
+    assert not dm.bank
 
 
 def test_shared_net_vectors_are_replaced_not_changed():
-    # Every entry one update creates holds the same {id: count} dict, and an
+    # Every entry one update creates holds the same one-id set, and an
     # emptied entry is deleted.  Walk entries shared by (0, 1) and (0, x)
-    # through a count of 2 and through 2 -> 1 -> 0 -> 1 ids.
+    # through 2 -> 1 -> 0 -> 1 ids.
     dm = DynamicMatcher(600, 1, random.Random(1))
     values_1 = set(key_indices(1, dm.scheme))
     x = next(x for x in range(2, 600) if values_1 & set(key_indices(x, dm.scheme)))
     steps = [
-        (1, True), (1, True),  # a repeated insert: count 2 at every entry of (0, 1)
+        (1, True),
         (x, True),  # the shared entries go 1 -> 2
-        (1, False), (1, False),  # 2 -> 2, then 2 -> 1: (0, x) alone
+        (1, False),  # 2 -> 1: (0, x) alone
         (x, False),  # 1 -> 0: every entry of (0, x) is deleted
         (1, True),  # 0 -> 1: the shared entries are created again
         (x, True), (x, False),  # 1 -> 2 -> 1
@@ -427,22 +499,28 @@ def test_shared_net_vectors_are_replaced_not_changed():
 
 
 def test_changed_entry_is_decoded_again():
-    # A kept outcome must not outlive the net vector it was decoded from:
-    # after the sampled id of a three-id entry is deleted, a stale outcome
-    # would still return that dead edge.
+    # A kept outcome must not outlive the set it was decoded from: after the
+    # sampled id of a three-id entry is deleted, a stale outcome would still
+    # return that dead edge.  Every decoded outcome is the reference grid's,
+    # fed a unit step per id.
     dm = DynamicMatcher(600, 1, random.Random(1))
     values_0 = key_indices(0, dm.scheme)
     by_value: dict[int, list[int]] = {}
     for v in range(1, 600):
         for j in key_indices(v, dm.scheme):
             by_value.setdefault(j, []).append(v)
-    j, (a, b, c) = next((j, vs[:3]) for j, vs in sorted(by_value.items()) if len(vs) >= 3)
+    j, (a, b, c, d) = next((j, vs[:4]) for j, vs in sorted(by_value.items()) if len(vs) >= 4)
 
     def check():
         answer, stats = sweep_query(dm)
         assert dm.query() == answer
         assert dm.last_query_stats == stats
         _assert_index(dm)
+        for slow_key, outcome in dm._slow.items():
+            grid = GridL0Sampler(dm.n_ids, dm.delta, random.Random(entry_seed(dm, slow_key)))
+            for ident in dm.bank[slow_key].net:
+                grid.update(ident, 1)
+            assert outcome == grid.query(), slow_key
 
     for v in (a, b, c):
         dm.update(EdgeUpdate(0, v, 3, True))
@@ -457,12 +535,12 @@ def test_changed_entry_is_decoded_again():
     check()
     assert dead not in {(u, v) for u, v, _w in (dm.query().edges)}
     assert dm._slow[key] != first
-    live = edge_from_id(next(iter(dm.bank[key].net)))
-    dm.update(EdgeUpdate(*live, 3, True))  # a duplicate insert: a count changes at two ids
+    live = edge_from_id(min(dm.bank[key].net))
+    dm.update(EdgeUpdate(0, d, 3, True))
+    dm.update(EdgeUpdate(*live, 3, False))  # 2 -> 3 -> 2: another pair of ids
     assert len(dm.bank[key].net) == 2 and key in dm._dirty
     check()
     assert not dm._dirty
-    dm.update(EdgeUpdate(*live, 3, False))
     dm.update(EdgeUpdate(*dead, 3, True))  # 2 -> 3 again
     assert key in dm._dirty
     check()
@@ -542,10 +620,10 @@ def test_a_query_decodes_only_the_entries_changed_since_the_last(monkeypatch):
     for n in (700, 1500):
         dm = DynamicMatcher(n, 2, random.Random(n + 1))
         touched = set()
-        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
-            dm.update(upd)
-            touched |= {bank_key(dm, i, j, upd.w) for i in key_indices(upd.u, dm.scheme)
-                        for j in key_indices(upd.v, dm.scheme)}
+        for step, (upd, taken) in enumerate(_churn(dm, 600, n), 1):
+            if taken:
+                touched |= {bank_key(dm, i, j, upd.w) for i in key_indices(upd.u, dm.scheme)
+                            for j in key_indices(upd.v, dm.scheme)}
             if step % 7 == 0:
                 decoded.clear()
                 answer = dm.query()
@@ -588,8 +666,7 @@ def test_fail_outcomes_count_in_the_running_totals(monkeypatch):
     for n in (700, 1500):
         dm = DynamicMatcher(n, 2, random.Random(n + 1))
         was_fail = set()
-        for step, upd in enumerate(_churn_stream(n, 600, random.Random(n)), 1):
-            dm.update(upd)
+        for step, _ in enumerate(_churn(dm, 600, n), 1):
             if step % 25 == 0:
                 fail_to_single += sum(1 for key in was_fail if len(dm.bank[key].net) == 1)
                 answer, stats = sweep_query(dm)
@@ -788,36 +865,14 @@ def test_the_rank_index_follows_churn_with_parallel_copies(eps, k, monkeypatch):
     assert swaps >= _SWAP_FLOORS[0] and swaps_moving >= _SWAP_FLOORS[1]
 
 
-def test_an_entry_with_a_count_of_two_decodes_as_the_grid():
-    # Inserting (0, 1) twice (no well-formed stream does, but the matcher
-    # takes it) leaves {id: 2} in its entries; an edge (0, x) that shares some
-    # of them makes those {id: 2, id': 1}, and each decodes as the reference
-    # grid fed unit steps.
-    n = 200
-    dm = DynamicMatcher(n, 1, random.Random(2))
-    values_1 = set(key_indices(1, dm.scheme))
-    x = next(x for x in range(2, n) if values_1 & set(key_indices(x, dm.scheme)))
-    for v in (1, 1, x):
-        dm.update(EdgeUpdate(0, v, 3, True))
-    a, b = edge_id(0, 1, n), edge_id(0, x, n)
-    assert len(dm._slow) == len(key_indices(0, dm.scheme)) * len(values_1 & set(key_indices(x, dm.scheme)))
-    dm.query()
-    for key, outcome in dm._slow.items():
-        assert dm.bank[key].net == {a: 2, b: 1}
-        grid = GridL0Sampler(dm.n_ids, dm.delta, random.Random(entry_seed(dm, key)))
-        for ident in (a, a, b):
-            grid.update(ident, 1)
-        assert outcome == grid.query(), key
-
-
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)], ids=["exact", "approx"])
 def test_bank_entries_own_no_object(eps):
     # Entries with one id hold one holder per update; only an entry with two
     # or more ids owns its value.
     for n in (1500, 3000):
         dm = DynamicMatcher(n, 2, random.Random(n + 1), mode="approx" if eps else "exact", eps=eps)
-        for upd in _churn_stream(n, 600, random.Random(n)):
-            dm.update(upd)
+        for _ in _churn(dm, 600, n):
+            pass
         assert dm._slow  # these streams end with entries that own their values
         assert len({id(rec) for rec in dm.bank.values()}) <= dm.updates_applied + len(dm._slow)
         _assert_owners(dm)
